@@ -39,7 +39,6 @@ from .isomgroup import (
 )
 from .langlib import (
     EMPTY_WORD_TOKEN,
-    Language,
     format_language,
     growth,
     load_language,
@@ -52,14 +51,14 @@ EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# P or P/Q with Q nonzero
+_RAT_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
 def _parse_rat(text: str) -> Fraction:
     if not _RAT_RE.match(text):
         raise ValueError(f"malformed rational {text!r}, expected P or P/Q")
-    value = Fraction(text)
-    return value
+    return Fraction(text)
 
 
 def _parse_word(token: str) -> str:
@@ -70,14 +69,6 @@ def _parse_word(token: str) -> str:
 
 def _weights(args) -> Weights:
     return Weights(_parse_rat(args.gamma), _parse_rat(args.theta))
-
-
-def _rat_text(value: Fraction) -> str:
-    return str(value)
-
-
-def _rat_json(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
 
 
 def _resolve_graph(token: str):
@@ -102,7 +93,7 @@ def _group_json(group) -> dict:
 def _cmd_dist(args) -> int:
     u = _parse_word(args.word1)
     v = _parse_word(args.word2)
-    print(_rat_text(lev(u, v, _weights(args))))
+    print(lev(u, v, _weights(args)))
     return EXIT_OK
 
 
@@ -112,14 +103,14 @@ def _cmd_matrix(args) -> int:
     if args.format == "json":
         payload = {
             "words": list(lang),
-            "entries": [[_rat_json(x) for x in row] for row in matrix.entries],
+            "entries": claims.jsonable(matrix.entries),
         }
         print(json.dumps(payload))
     else:
         header = [w if w else EMPTY_WORD_TOKEN for w in lang]
         print("\t".join(header))
         for row in matrix.entries:
-            print("\t".join(_rat_text(x) for x in row))
+            print("\t".join(map(str, row)))
     return EXIT_OK
 
 
@@ -144,48 +135,75 @@ def _cmd_growth(args) -> int:
     return EXIT_OK
 
 
-def _need(args, flag: str, family: str):
+def _opt(value, default):
+    return default if value is None else value
+
+
+def _need(args, flag: str):
+    """The value of ``--flag``, which the chosen family or claim requires."""
     value = getattr(args, flag)
     if value is None:
-        raise ValueError(f"construct {family} requires --{flag.replace('_', '-')}")
+        name = args.family if args.command == "construct" else args.claim
+        raise ValueError(f"{args.command} {name} requires --{flag}")
     return value
 
 
-def _build_family(args) -> Language:
-    family = args.family
-    if family == "lemma4":
-        return encode_cubic_graph(_resolve_graph(_need(args, "graph", family)))
-    if family == "theorem2":
-        return theorem2_language(_resolve_graph(_need(args, "graph", family)))
-    if family == "theorem3":
-        names = _need(args, "graphs", family)
-        graphs = [_resolve_graph(t) for t in names]
-        depth = args.depth if args.depth is not None else len(graphs)
-        return theorem3_language(graphs, depth)
-    if family == "theorem4":
-        depth = args.depth if args.depth is not None else 1
-        return theorem4_language(args.k, depth)
-    if family == "theorem5":
-        names = _need(args, "graphs", family)
-        if len(names) != 2:
-            raise ValueError("construct theorem5 needs exactly two graphs")
-        depth = args.depth if args.depth is not None else 1
-        return theorem5_language(_resolve_graph(names[0]), _resolve_graph(names[1]), depth)
-    if family == "lemma5":
-        base = load_language(_need(args, "lang", family))
-        depth = args.depth if args.depth is not None else 1
-        return lemma5_language(base, depth)
-    if family == "theorem6":
-        return theorem6_language(args.layers)
-    if family == "unary":
-        return unary_language(_need(args, "lengths", family))
-    if family == "prop4":
-        return prop4_language(args.max)
-    raise ValueError(f"unknown family {family!r}")
+def _graphs_and_depth(names, depth):
+    graphs = [_resolve_graph(t) for t in names]
+    return graphs, _opt(depth, len(graphs))
+
+
+def _graph_pair(args, names):
+    if len(names) != 2:
+        raise ValueError(f"{args.command} theorem5 needs exactly two graphs")
+    return _resolve_graph(names[0]), _resolve_graph(names[1])
+
+
+# family -> builder(args) returning a Language.  Each builder looks its
+# construction up by name when called, so a wrapped module global is seen.
+_FAMILIES = {
+    "lemma4": lambda a: encode_cubic_graph(_resolve_graph(_need(a, "graph"))),
+    "theorem2": lambda a: theorem2_language(_resolve_graph(_need(a, "graph"))),
+    "theorem3": lambda a: theorem3_language(*_graphs_and_depth(_need(a, "graphs"), a.depth)),
+    "theorem4": lambda a: theorem4_language(a.k, _opt(a.depth, 1)),
+    "theorem5": lambda a: theorem5_language(*_graph_pair(a, _need(a, "graphs")),
+                                            _opt(a.depth, 1)),
+    "lemma5": lambda a: lemma5_language(load_language(_need(a, "lang")), _opt(a.depth, 1)),
+    "theorem6": lambda a: theorem6_language(a.layers),
+    "unary": lambda a: unary_language(_need(a, "lengths")),
+    "prop4": lambda a: prop4_language(a.max),
+}
+
+# claim -> checker(args, gamma, theta) returning a VerificationReport, with
+# the command's own defaults; the checker is looked up in ``claims`` when called.
+_CLAIMS = {
+    "metric": lambda a, gamma, theta: claims.check_metric(
+        gamma, theta, _opt(a.samples, 1000), a.max_len, a.seed),
+    "bounds": lambda a, gamma, theta: claims.check_bounds(
+        gamma, theta, _opt(a.samples, 1000), a.max_len, a.seed),
+    "homothety": lambda a, gamma, theta: claims.check_homothety(
+        _opt(a.samples, 500), a.max_len, a.seed),
+    "prop3": lambda a, gamma, theta: claims.check_prop3(a.random, a.max_size, a.seed),
+    "prop4": lambda a, gamma, theta: claims.check_prop4(a.max),
+    "theorem1": lambda a, gamma, theta: claims.check_theorem1(
+        load_language(_need(a, "lang")), gamma, theta),
+    "lemma3": lambda a, gamma, theta: claims.check_lemma3(
+        _opt(a.samples, 200), theta, seed=a.seed),
+    "lemma4": lambda a, gamma, theta: claims.check_lemma4(a.graph),
+    "theorem2": lambda a, gamma, theta: claims.check_theorem2(a.graph or "k4", theta),
+    "theorem3": lambda a, gamma, theta: claims.check_theorem3(
+        *_graphs_and_depth(a.graphs or ["k4", "petersen"], a.depth), theta),
+    "theorem4": lambda a, gamma, theta: claims.check_theorem4(a.k, _opt(a.depth, 1), theta),
+    "theorem5": lambda a, gamma, theta: claims.check_theorem5(
+        *_graph_pair(a, a.graphs or ["k4", "k33"]), _opt(a.depth, 1), theta),
+    "lemma5": lambda a, gamma, theta: claims.check_lemma5(
+        load_language(a.lang) if a.lang else None, _opt(a.depth, 2), theta),
+    "theorem6": lambda a, gamma, theta: claims.check_theorem6(a.layers, theta),
+}
 
 
 def _cmd_construct(args) -> int:
-    lang = _build_family(args)
+    lang = _FAMILIES[args.family](args)
     if args.out:
         save_language(lang, args.out)
         lengths = sorted(set(lang.lengths()))
@@ -197,94 +215,14 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    claim = args.claim
     theta = _parse_rat(args.theta)
     gamma = _parse_rat(args.gamma)
-    if claim == "metric":
-        report = claims.check_metric(gamma, theta, args.samples, args.max_len, args.seed)
-    elif claim == "bounds":
-        report = claims.check_bounds(gamma, theta, args.samples, args.max_len, args.seed)
-    elif claim == "homothety":
-        report = claims.check_homothety(args.samples, args.max_len, args.seed)
-    elif claim == "prop3":
-        report = claims.check_prop3(args.random, args.max_size, args.seed)
-    elif claim == "prop4":
-        report = claims.check_prop4(args.max)
-    elif claim == "theorem1":
-        lang = load_language(_need_verify(args, "lang", claim))
-        report = claims.check_theorem1(lang, gamma, theta)
-    elif claim == "lemma3":
-        report = claims.check_lemma3(args.samples, theta, seed=args.seed)
-    elif claim == "lemma4":
-        report = claims.check_lemma4(args.graph)
-    elif claim == "theorem2":
-        report = claims.check_theorem2(args.graph or "k4", theta)
-    elif claim == "theorem3":
-        names = args.graphs or ["k4", "petersen"]
-        graphs = [_resolve_graph(t) for t in names]
-        depth = args.depth if args.depth is not None else len(graphs)
-        report = claims.check_theorem3(graphs, depth, theta)
-    elif claim == "theorem4":
-        depth = args.depth if args.depth is not None else 1
-        report = claims.check_theorem4(args.k, depth, theta)
-    elif claim == "theorem5":
-        names = args.graphs or ["k4", "k33"]
-        if len(names) != 2:
-            raise ValueError("verify theorem5 needs exactly two graphs")
-        depth = args.depth if args.depth is not None else 1
-        report = claims.check_theorem5(
-            _resolve_graph(names[0]), _resolve_graph(names[1]), depth, theta
-        )
-    elif claim == "lemma5":
-        base = load_language(args.lang) if args.lang else None
-        depth = args.depth if args.depth is not None else 2
-        report = claims.check_lemma5(base, depth, theta)
-    elif claim == "theorem6":
-        report = claims.check_theorem6(args.layers, theta)
-    else:
-        raise ValueError(f"unknown claim {claim!r}")
+    report = _CLAIMS[args.claim](args, gamma, theta)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
         print(report.render())
     return EXIT_OK if report.passed else EXIT_CLAIM_FAILED
-
-
-def _need_verify(args, flag: str, claim: str):
-    value = getattr(args, flag)
-    if value is None:
-        raise ValueError(f"verify {claim} requires --{flag}")
-    return value
-
-
-_CLAIMS = (
-    "metric",
-    "bounds",
-    "homothety",
-    "prop3",
-    "prop4",
-    "theorem1",
-    "lemma3",
-    "lemma4",
-    "theorem2",
-    "theorem3",
-    "theorem4",
-    "theorem5",
-    "lemma5",
-    "theorem6",
-)
-
-_FAMILIES = (
-    "lemma4",
-    "theorem2",
-    "theorem3",
-    "theorem4",
-    "theorem5",
-    "lemma5",
-    "theorem6",
-    "unary",
-    "prop4",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,22 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_SAMPLES = {
-    "metric": 1000,
-    "bounds": 1000,
-    "homothety": 500,
-    "lemma3": 200,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "samples", None) is None and getattr(args, "claim", None):
-        args.samples = _DEFAULT_SAMPLES.get(args.claim, 200)
     try:
         return args.handler(args)
     except (DegreeTooLarge, GroupTooLarge) as exc:

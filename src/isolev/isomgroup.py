@@ -11,7 +11,6 @@ from typing import Iterable, Optional
 from .editdist import DistanceMatrix, Rat
 
 BRUTE_MAX_DEGREE = 9
-ABSTRACT_ISO_CAP = 2000
 
 
 class DegreeTooLarge(ValueError):
@@ -275,22 +274,6 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, generators={len(self.generators)})"
 
 
-def group_order(group: PermutationGroup) -> int:
-    return group.order()
-
-
-def contains(group: PermutationGroup, p: Permutation) -> bool:
-    return group.contains(p)
-
-
-def orbits(group: PermutationGroup) -> OrbitPartition:
-    return group.orbits()
-
-
-def elements(group: PermutationGroup, cap: int) -> list[Permutation]:
-    return group.elements(cap)
-
-
 def same_group(g: PermutationGroup, h: PermutationGroup) -> bool:
     """Equality as permutation groups: mutual containment of generators."""
     if g.degree != h.degree:
@@ -435,91 +418,3 @@ def graph_automorphisms(graph) -> PermutationGroup:
         )
     labels = tuple(str(v) for v in range(n))
     return isometries(DistanceMatrix(labels, tuple(rows)))
-
-
-def _closure_map(
-    gen_pairs: list[tuple[Permutation, Permutation]],
-    id_g: Permutation,
-    id_h: Permutation,
-) -> Optional[dict[Permutation, Permutation]]:
-    """Extend generator pairs to a map on the generated subgroup; None on any
-    homomorphism conflict or loss of injectivity."""
-    mapping = {id_g: id_h}
-    frontier = [(id_g, id_h)]
-    while frontier:
-        a, x = frontier.pop()
-        for g, h in gen_pairs:
-            b = a * g
-            y = x * h
-            prev = mapping.get(b)
-            if prev is None:
-                mapping[b] = y
-                frontier.append((b, y))
-            elif prev != y:
-                return None
-    if len(set(mapping.values())) != len(mapping):
-        return None
-    return mapping
-
-
-def abstract_isomorphic(
-    g: PermutationGroup, h: PermutationGroup, cap: int = ABSTRACT_ISO_CAP
-) -> bool:
-    """Abstract group isomorphism for small groups, by exhaustive backtracking
-    over generator images with incremental homomorphism checking."""
-    order_g = g.order()
-    order_h = h.order()
-    if order_g > cap or order_h > cap:
-        raise GroupTooLarge(f"orders {order_g}, {order_h} exceed cap {cap}")
-    if order_g != order_h:
-        return False
-    elems_g = g.elements(cap)
-    elems_h = h.elements(cap)
-    if sorted(p.order() for p in elems_g) != sorted(p.order() for p in elems_h):
-        return False
-    if order_g == 1:
-        return True
-
-    id_g = Permutation.identity(g.degree)
-    id_h = Permutation.identity(h.degree)
-
-    gens: list[Permutation] = []
-    span = {id_g}
-    for cand in list(g.generators) + elems_g:
-        if len(span) == order_g:
-            break
-        if cand in span:
-            continue
-        gens.append(cand)
-        grown = set(span)
-        frontier = [cand]
-        grown.add(cand)
-        while frontier:
-            a = frontier.pop()
-            for b in list(grown):
-                for prod in (a * b, b * a):
-                    if prod not in grown:
-                        grown.add(prod)
-                        frontier.append(prod)
-        span = grown
-
-    by_order: dict[int, list[Permutation]] = {}
-    for p in elems_h:
-        by_order.setdefault(p.order(), []).append(p)
-
-    def assign(idx: int, pairs: list[tuple[Permutation, Permutation]]) -> bool:
-        if idx == len(gens):
-            return True
-        gk = gens[idx]
-        for hk in by_order.get(gk.order(), ()):
-            trial = pairs + [(gk, hk)]
-            mapping = _closure_map(trial, id_g, id_h)
-            if mapping is None:
-                continue
-            if idx + 1 == len(gens) and len(mapping) != order_g:
-                continue
-            if assign(idx + 1, trial):
-                return True
-        return False
-
-    return assign(0, [])

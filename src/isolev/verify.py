@@ -58,10 +58,10 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         return {
             "claim": self.claim,
-            "params": _jsonable(self.params),
+            "params": jsonable(self.params),
             "passed": self.passed,
             "witnesses": list(self.witnesses),
-            "details": _jsonable(self.details),
+            "details": jsonable(self.details),
             "elapsed_seconds": round(self.elapsed, 3),
         }
 
@@ -89,13 +89,15 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
+def jsonable(value):
+    """``value`` with every Fraction as an int, or as "p/q" text when not
+    integral, and tuples as lists, ready for ``json.dumps``."""
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     return value
 
 
@@ -144,23 +146,22 @@ def check_metric(gamma=1, theta=1, samples=1000, max_len=12, seed=DEFAULT_SEED):
         u = _random_word(rng, max_len)
         v = _random_word(rng, max_len)
         x = _random_word(rng, max_len)
-        if lev(u, u, w) != 0:
-            wit.add(f"lev({u!r},{u!r}) = {lev(u, u, w)} != 0")
-        if u != v and lev(u, v, w) <= 0:
-            wit.add(f"lev({u!r},{v!r}) = {lev(u, v, w)} not positive")
-        if lev(u, v, w) != lev(v, u, w):
+        uu, uv, vu = lev(u, u, w), lev(u, v, w), lev(v, u, w)
+        ux, vx = lev(u, x, w), lev(v, x, w)
+        if uu != 0:
+            wit.add(f"lev({u!r},{u!r}) = {uu} != 0")
+        if u != v and uv <= 0:
+            wit.add(f"lev({u!r},{v!r}) = {uv} not positive")
+        if uv != vu:
             wit.add(f"asymmetry on ({u!r},{v!r})")
-        if lev(u, x, w) > lev(u, v, w) + lev(v, x, w):
-            wit.add(
-                f"triangle fails: lev({u!r},{x!r})={lev(u, x, w)} > "
-                f"{lev(u, v, w)} + {lev(v, x, w)}"
-            )
+        if ux > uv + vx:
+            wit.add(f"triangle fails: lev({u!r},{x!r})={ux} > {uv} + {vx}")
         # context invariance: lev(pxq, pyq) == lev(x, y)
         p = _random_word(rng, 4)
         q = _random_word(rng, 4)
-        if lev(p + u + q, p + v + q, w) != lev(u, v, w):
+        if lev(p + u + q, p + v + q, w) != uv:
             wit.add(f"context invariance fails on ({p!r},{u!r},{v!r},{q!r})")
-        if lev(u[::-1], v[::-1], w) != lev(u, v, w):
+        if lev(u[::-1], v[::-1], w) != uv:
             wit.add(f"reversal invariance fails on ({u!r},{v!r})")
     return _report(
         "metric",

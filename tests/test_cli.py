@@ -2,6 +2,7 @@ import json
 
 from isolev.cli import main
 from isolev.langlib import Language, load_language
+from isolev.verify import DEFAULT_SEED
 
 
 def run(capsys, *argv):
@@ -26,6 +27,9 @@ def test_dist_input_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "dist", "0", "1", "--gamma", "0")
     assert code == 2
+    for flag, zero_denominator in (("--theta", "1/0"), ("--gamma", "0/0")):
+        code, _, err = run(capsys, "dist", "a", "b", flag, zero_denominator)
+        assert code == 2 and "malformed rational" in err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -171,6 +175,9 @@ def test_verify_exit_codes(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "theorem1", "--lang", str(lang_file))
     assert code == 0
 
+    code, _, err = run(capsys, "verify", "theorem2", "--theta", "1/0")
+    assert code == 2 and "malformed rational" in err
+
 
 def test_verify_json_output(capsys):
     code, out, _ = run(capsys, "verify", "prop3", "--random", "5", "--max-size", "6",
@@ -222,8 +229,11 @@ def test_verify_remaining_claims_dispatch(capsys):
     payload = json.loads(out)
     assert payload["details"]["layer1_group_order"] == "8"
 
+    # the default graphs are k4 and k33 (16 symbols per edge)
     code, out, _ = run(capsys, "verify", "theorem5", "--json")
-    assert code == 0 and json.loads(out)["details"]["group_order"] == str(24 * 72 * 72)
+    payload = json.loads(out)
+    assert code == 0 and payload["details"]["group_order"] == str(24 * 72 * 72)
+    assert payload["params"]["depth"] == 1 and payload["details"]["block_lengths"] == [96, 144]
 
     # the starred-layer order claim fails honestly: the finite segment of
     # layers admits a layer-order reversal
@@ -254,3 +264,40 @@ def test_construct_theorem3_theorem4_theorem5(tmp_path, capsys):
     code, out, _ = run(capsys, "construct", "lemma4", "--graph", "k33",
                        "--out", str(tmp_path / "enc.lang"))
     assert code == 0 and "6 words" in out
+
+
+def test_command_defaults(tmp_path, capsys):
+    """Defaults that the CLI sets itself, per command and per claim; several
+    differ from the checkers' own keyword defaults."""
+    def verify_json(*argv):
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        assert code in (0, 1)
+        return json.loads(out)
+
+    for claim, samples in (("metric", 1000), ("bounds", 1000), ("homothety", 500)):
+        assert verify_json(claim, "--max-len", "0")["params"]["samples"] == samples
+    assert verify_json("homothety", "--samples", "0")["params"] == {
+        "samples": 0, "max_len": 12, "seed": DEFAULT_SEED}
+    assert verify_json("metric", "--samples", "0")["params"]["samples"] == 0
+    assert verify_json("lemma3")["params"] == {
+        "samples": 200, "theta": 1, "max_len": 5, "seed": DEFAULT_SEED}
+    assert verify_json("lemma5")["params"]["depth"] == 2
+    assert verify_json("theorem6")["params"]["layers"] == 3
+    # k4 then petersen, one layer each: words of 110 and 474 symbols
+    theorem3 = verify_json("theorem3")
+    assert theorem3["params"]["layers"] == 2
+    assert theorem3["details"]["layer_lengths"] == [110, 474]
+
+    base = tmp_path / "pair.lang"
+    base.write_text("00\n11\n")
+    for argv, words in ((["lemma5", "--lang", str(base)], 4), (["theorem6"], 2),
+                        (["theorem4"], 5)):
+        code, out, _ = run(capsys, "construct", *argv)
+        assert code == 0 and len(out.splitlines()) == words
+
+    for family, flag in (("lemma4", "graph"), ("theorem2", "graph"), ("theorem3", "graphs"),
+                         ("theorem5", "graphs"), ("lemma5", "lang"), ("unary", "lengths")):
+        code, _, err = run(capsys, "construct", family)
+        assert code == 2 and err == f"error: construct {family} requires --{flag}\n"
+    code, _, err = run(capsys, "verify", "theorem1")
+    assert code == 2 and err == "error: verify theorem1 requires --lang\n"

@@ -13,7 +13,6 @@ from isolev.isomgroup import (
     PermutationGroup,
     _color_matrix,
     _refine_classes,
-    abstract_isomorphic,
     graph_automorphisms,
     isometries,
     isometries_brute,
@@ -205,24 +204,3 @@ def test_frucht_rigidity_by_independent_refinement():
 def test_same_group_requires_matching_degree():
     with pytest.raises(DegreeMismatch):
         same_group(PermutationGroup(2, []), PermutationGroup(3, []))
-
-
-def test_abstract_isomorphic_small_cases():
-    order2_a = PermutationGroup(2, [perm(1, 0)])
-    order2_b = PermutationGroup(4, [perm(1, 0, 3, 2)])
-    assert abstract_isomorphic(order2_a, order2_b)
-
-    cyclic4 = PermutationGroup(4, [perm(1, 2, 3, 0)])
-    klein4 = PermutationGroup(4, [perm(1, 0, 2, 3), perm(0, 1, 3, 2)])
-    assert not abstract_isomorphic(cyclic4, klein4)
-
-    t2 = theorem2_language(catalog_graph("k4"))
-    word_group = isometries(distance_matrix(t2))
-    s4 = PermutationGroup(4, [perm(1, 0, 2, 3), perm(1, 2, 3, 0)])
-    assert abstract_isomorphic(word_group, s4)
-
-
-def test_abstract_isomorphic_cap():
-    s4 = PermutationGroup(4, [perm(1, 0, 2, 3), perm(1, 2, 3, 0)])
-    with pytest.raises(GroupTooLarge):
-        abstract_isomorphic(s4, s4, cap=10)

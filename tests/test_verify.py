@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from isolev import verify
 from isolev.constructs import catalog_graph
 from isolev.langlib import HypothesisViolated, Language
 from isolev.verify import (
@@ -28,6 +29,20 @@ def test_metric_and_bounds_pass():
     assert check_metric(theta=Fraction(3, 2), samples=150).passed
     assert check_bounds(samples=200).passed
     assert check_bounds(gamma=2, theta=1, samples=150).passed
+
+
+def test_metric_computes_each_distance_once(monkeypatch):
+    calls = []
+
+    def counting_lev(*args):
+        calls.append(args)
+        return real_lev(*args)
+
+    real_lev = verify.lev
+    monkeypatch.setattr(verify, "lev", counting_lev)
+    assert check_metric(samples=40).passed
+    # lev(u,u), lev(u,v), lev(v,u), lev(u,x), lev(v,x), context, reversal
+    assert len(calls) == 7 * 40
 
 
 def test_homothety_passes_and_covers_large_ratios():
