@@ -1,16 +1,28 @@
 """Permutation groups with stabilizer chains, and complete isometry groups of
-finite metric spaces via signature refinement plus backtracking search."""
+finite metric spaces via individualization-refinement search.
+
+The solver refines ordered partitions of the points to equitable ones
+(McKay & Piperno, *Practical Graph Isomorphism II*, 2014), individualizes
+one point per level of a base, and searches the levels bottom up so that the
+stabilizer below each level is known when the level is searched (Leon's
+partition backtrack, 1991).  Candidates in a known orbit are skipped, and a
+branch whose refinement differs from the first path's is pruned.
+"""
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations as _all_permutations
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .editdist import DistanceMatrix, Rat
 
 BRUTE_MAX_DEGREE = 9
+
+# Refinement nodes one isometry search may visit before giving up.
+SEARCH_NODE_CAP = 200_000
 
 
 class DegreeTooLarge(ValueError):
@@ -22,7 +34,7 @@ class DegreeMismatch(ValueError):
 
 
 class GroupTooLarge(ValueError):
-    """Full element enumeration would exceed the requested cap."""
+    """Element enumeration or the isometry search would exceed its cap."""
 
 
 class Permutation:
@@ -37,8 +49,15 @@ class Permutation:
         self.images = imgs
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap images already known to form a permutation, without validation."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return cls._unchecked(tuple(range(degree)))
 
     @property
     def degree(self) -> int:
@@ -50,14 +69,13 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
             raise DegreeMismatch(f"degrees {self.degree} and {other.degree}")
-        o = other.images
-        return Permutation(o[i] for i in self.images)
+        return Permutation._unchecked(tuple(map(other.images.__getitem__, self.images)))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -78,9 +96,6 @@ class Permutation:
                 point = self.images[point]
             out.append(tuple(cyc))
         return out
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -119,13 +134,27 @@ def _gens_from(levels: list[_ChainLevel], start: int) -> list[Permutation]:
     return [g for lvl in levels[start:] for g in lvl.introduced]
 
 
+def _orbit(points: Iterable[int], gens: Sequence[Permutation]) -> set[int]:
+    """Union of the orbits of the given points under the generators."""
+    seen = set(points)
+    queue = list(seen)
+    for point in queue:
+        for g in gens:
+            image = g.images[point]
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return seen
+
+
 def _recompute_transversal(levels: list[_ChainLevel], i: int, degree: int) -> None:
+    """Orbit BFS from the base of level i over the generators at i and below;
+    each orbit point maps to a product carrying the base onto it."""
     lvl = levels[i]
     gens = _gens_from(levels, i)
     trans = {lvl.base: Permutation.identity(degree)}
     queue = [lvl.base]
-    while queue:
-        point = queue.pop(0)
+    for point in queue:
         u = trans[point]
         for g in gens:
             npt = g(point)
@@ -161,7 +190,8 @@ def _build_chain(degree: int, generators: Iterable[Permutation]) -> list[_ChainL
             base = min(k for k in range(degree) if residue(k) != k)
             levels.append(_ChainLevel(base))
         levels[at].introduced.append(residue)
-        for i in range(len(levels)):
+        # Only the transversals of levels 0..at use generators introduced at `at`.
+        for i in range(at + 1):
             _recompute_transversal(levels, i, degree)
         return True
 
@@ -236,17 +266,9 @@ class PermutationGroup:
         for start in range(self.degree):
             if seen[start]:
                 continue
-            block = [start]
-            seen[start] = True
-            queue = [start]
-            while queue:
-                point = queue.pop(0)
-                for g in self.generators:
-                    npt = g(point)
-                    if not seen[npt]:
-                        seen[npt] = True
-                        block.append(npt)
-                        queue.append(npt)
+            block = _orbit([start], self.generators)
+            for point in block:
+                seen[point] = True
             blocks.append(tuple(sorted(block)))
         return OrbitPartition(tuple(blocks))
 
@@ -284,95 +306,231 @@ def same_group(g: PermutationGroup, h: PermutationGroup) -> bool:
 
 
 def _color_matrix(matrix: DistanceMatrix) -> list[list[int]]:
-    values = sorted({v for row in matrix.entries for v in row})
-    code = {v: i for i, v in enumerate(values)}
-    return [[code[v] for v in row] for row in matrix.entries]
+    """Each entry replaced by its rank among the distinct entries."""
+    # A (numerator, denominator) pair names the same value as the rational
+    # and hashes several times faster.
+    pairs = [[(v.numerator, v.denominator) for v in row] for row in matrix.entries]
+    values = sorted({p for row in pairs for p in row}, key=lambda p: Fraction(*p))
+    code = {p: i for i, p in enumerate(values)}
+    return [[code[p] for p in row] for row in pairs]
 
 
-def _refine_classes(colors: list[list[int]]) -> list[int]:
-    """Iterate per-point signatures (own class, sorted multiset of
-    (distance colour, partner class)) until the partition stabilises."""
+def _refine(
+    colors: list[list[int]],
+    lab: list[int],
+    size: list[int],
+    splitters: list[int],
+    ref: Optional[list] = None,
+) -> Optional[list]:
+    """Refine an ordered partition in place until it is equitable.
+
+    ``lab`` lists the points cell by cell.  A cell is named by the position
+    of its first point in ``lab``, and ``size[s]`` is the length of the cell
+    at s.  A splitter cell W splits every cell by the sorted distance colours
+    from each of its points to W; the pieces take the cell's place in sorted
+    key order.  A split cell that was waiting to split others leaves every
+    piece waiting, otherwise all but its first largest piece, whose effect
+    follows from the others (Hopcroft).  Every split is recorded in the
+    returned trace.  Given ``ref``, the trace of the node on the first path
+    at the same level, the refinement stops and returns None at its first
+    departure from ``ref``.
+    """
+    n = len(lab)
+    queue = deque(splitters)
+    queued = [False] * n
+    for s in splitters:
+        queued[s] = True
+    open_cells = []
+    s = 0
+    while s < n:
+        if size[s] > 1:
+            open_cells.append(s)
+        s += size[s]
+    trace: list = []
+    while queue and open_cells:
+        w = queue.popleft()
+        queued[w] = False
+        if size[w] == 1:
+            key = colors[lab[w]].__getitem__
+        else:
+            members = lab[w : w + size[w]]
+
+            def key(x: int) -> tuple[int, ...]:
+                return tuple(sorted(map(colors[x].__getitem__, members)))
+
+        still_open = []
+        for s in open_cells:
+            end = s + size[s]
+            points = lab[s:end]
+            keys = list(map(key, points))
+            if keys.count(keys[0]) == len(keys):
+                still_open.append(s)
+                continue
+            pieces: dict = {}
+            for x, k in zip(points, keys):
+                pieces.setdefault(k, []).append(x)
+            order = sorted(pieces)
+            entry = (s, tuple((k, len(pieces[k])) for k in order))
+            if ref is not None and (len(trace) == len(ref) or ref[len(trace)] != entry):
+                return None
+            trace.append(entry)
+            largest = None if queued[s] else max(order, key=lambda k: len(pieces[k]))
+            pos = s
+            for k in order:
+                piece = pieces[k]
+                lab[pos : pos + len(piece)] = piece
+                size[pos] = len(piece)
+                if len(piece) > 1:
+                    still_open.append(pos)
+                if k != largest and not queued[pos]:
+                    queued[pos] = True
+                    queue.append(pos)
+                pos += len(piece)
+        open_cells = still_open
+    if ref is not None and len(trace) != len(ref):
+        return None
+    return trace
+
+
+def _root_partition(colors: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The equitable refinement of the one-cell partition: (lab, size)."""
     n = len(colors)
-    cls = [0] * n
-    while True:
-        sigs = []
-        for p in range(n):
-            row = colors[p]
-            partners = sorted((row[q], cls[q]) for q in range(n) if q != p)
-            sigs.append((cls[p], tuple(partners)))
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranks[s] for s in sigs]
-        if new == cls:
-            return cls
-        cls = new
+    lab = list(range(n))
+    size = [n] + [0] * (n - 1)
+    _refine(colors, lab, size, [0])
+    return lab, size
+
+
+def _individualize(
+    lab: list[int], size: list[int], s: int, v: int
+) -> tuple[list[int], list[int]]:
+    """A copy of the partition with point v split off to the front of cell s."""
+    end = s + size[s]
+    lab = lab.copy()
+    size = size.copy()
+    lab[s + 1 : end] = [x for x in lab[s:end] if x != v]
+    lab[s] = v
+    size[s] = 1
+    size[s + 1] = end - s - 1
+    return lab, size
+
+
+def _first_open_cell(lab: list[int], size: list[int]) -> Optional[int]:
+    s = 0
+    while s < len(lab):
+        if size[s] > 1:
+            return s
+        s += size[s]
+    return None
 
 
 def isometries(matrix: DistanceMatrix) -> PermutationGroup:
     """The full group of index permutations preserving every matrix entry.
 
-    For each point i taken in natural order, a backtracking search finds one
-    distance-preserving extension per candidate image of i that fixes
-    0..i-1; the collected coset representatives generate the whole group and
-    double as a ready-made stabilizer chain.
+    The first path of the search tree individualizes the smallest point of
+    the first non-singleton cell and refines, until the partition is
+    discrete; the individualized points form the base.  Levels are searched
+    from the deepest up.  At each level every candidate image of the base
+    point in its cell is tried, unless the generators found so far already
+    place it in the orbit of the base point or of a candidate refuted
+    earlier.  A candidate's subtree is searched depth first, pruning every
+    node whose refinement trace departs from the first path's, and a leaf
+    yields the permutation carrying the first leaf onto it, emitted only if
+    it preserves the whole matrix.  The generators found at each level and
+    below have the base point's orbit as transversal, so the result carries
+    a ready stabilizer chain.  The search visits at most
+    ``SEARCH_NODE_CAP`` refinement nodes, else raises ``GroupTooLarge``.
     """
     n = matrix.n
     if n <= 1:
         return PermutationGroup(n, [])
     colors = _color_matrix(matrix)
-    cls = _refine_classes(colors)
+    visited = 0
 
-    def search(start: int, image: int) -> Optional[Permutation]:
-        img = list(range(start)) + [image]
-        used = [False] * n
-        for x in range(start):
-            used[x] = True
-        used[image] = True
+    def refine(lab, size, s, ref=None):
+        nonlocal visited
+        visited += 1
+        if visited > SEARCH_NODE_CAP:
+            raise GroupTooLarge(
+                f"isometry search visited {visited} nodes, over the cap of {SEARCH_NODE_CAP}"
+            )
+        return _refine(colors, lab, size, [s], ref)
 
-        def extend(point: int) -> bool:
-            if point == n:
-                return True
-            row = colors[point]
-            want = cls[point]
-            for cand in range(n):
-                if used[cand] or cls[cand] != want:
-                    continue
-                crow = colors[cand]
-                if all(row[x] == crow[img[x]] for x in range(point)):
-                    img.append(cand)
-                    used[cand] = True
-                    if extend(point + 1):
-                        return True
-                    img.pop()
-                    used[cand] = False
-            return False
+    # path[i] is the first path's partition above level i, whose cell cells[i]
+    # holds the base point bases[i]; traces[i] is the refinement that follows.
+    lab, size = _root_partition(colors)
+    path, cells, bases, traces = [], [], [], []
+    s = _first_open_cell(lab, size)
+    while s is not None:
+        v = min(lab[s : s + size[s]])
+        path.append((lab, size))
+        cells.append(s)
+        bases.append(v)
+        lab, size = _individualize(lab, size, s, v)
+        traces.append(refine(lab, size, s))
+        s = _first_open_cell(lab, size)
+    first_leaf = lab
+    depth = len(bases)
 
-        return Permutation(img) if extend(start + 1) else None
-
-    levels: list[_ChainLevel] = []
-    for i in range(n):
-        trans = {i: Permutation.identity(n)}
-        row = colors[i]
-        for j in range(i + 1, n):
-            if cls[j] != cls[i]:
-                continue
-            if any(row[x] != colors[j][x] for x in range(i)):
-                continue
-            rep = search(i, j)
-            if rep is not None:
-                trans[j] = rep
-        if len(trans) > 1:
-            lvl = _ChainLevel(i)
-            lvl.transversal = trans
-            lvl.introduced = [trans[j] for j in sorted(trans) if j != i]
-            levels.append(lvl)
-
-    gens = [g for lvl in levels for g in lvl.introduced]
-    for g in gens:
+    def leaf_isometry(leaf: list[int]) -> Optional[Permutation]:
+        images = [0] * n
+        for a, b in zip(first_leaf, leaf):
+            images[a] = b
         for a in range(n):
-            ga = g(a)
-            if any(colors[a][b] != colors[ga][g(b)] for b in range(n)):
-                raise RuntimeError("internal error: emitted permutation is not an isometry")
-    return PermutationGroup(n, gens, _chain=levels)
+            if list(map(colors[images[a]].__getitem__, images)) != colors[a]:
+                return None
+        return Permutation._unchecked(tuple(images))
+
+    def find(level: int, c: int) -> Optional[Permutation]:
+        """An isometry fixing bases[:level] that carries bases[level] to c."""
+        lab, size = path[level]
+        stack = [(level, lab, size, iter([c]))]
+        while stack:
+            lv, lab, size, candidates = stack[-1]
+            x = next(candidates, None)
+            if x is None:
+                stack.pop()
+                continue
+            s = cells[lv]
+            xlab, xsize = _individualize(lab, size, s, x)
+            if refine(xlab, xsize, s, traces[lv]) is None:
+                continue
+            if lv + 1 == depth:
+                g = leaf_isometry(xlab)
+                if g is not None:
+                    return g
+                continue
+            t = cells[lv + 1]
+            stack.append((lv + 1, xlab, xsize, iter(xlab[t : t + xsize[t]])))
+        return None
+
+    gens: list[Permutation] = []
+    levels: list[_ChainLevel] = []
+    for level in reversed(range(depth)):
+        base = bases[level]
+        lab, size = path[level]
+        s = cells[level]
+        introduced: list[Permutation] = []
+        refuted: list[int] = []
+        in_orbit, dead = {base}, set()
+        for c in sorted(lab[s : s + size[s]]):
+            if c in in_orbit or c in dead:
+                continue
+            g = find(level, c)
+            if g is None:
+                refuted.append(c)
+            else:
+                gens.append(g)
+                introduced.append(g)
+                in_orbit = _orbit([base], gens)
+            dead = _orbit(refuted, gens)
+        if introduced:
+            lvl = _ChainLevel(base)
+            lvl.introduced = introduced
+            levels.insert(0, lvl)
+    for i in range(len(levels)):
+        _recompute_transversal(levels, i, n)
+    return PermutationGroup(n, _gens_from(levels, 0), _chain=levels)
 
 
 def isometries_brute(matrix: DistanceMatrix) -> PermutationGroup:

@@ -106,6 +106,18 @@ def test_isom_brute_cap_is_capability_error(tmp_path, capsys):
     assert code == 3 and "at most" in err
 
 
+def test_isom_search_cap_is_capability_error(tmp_path, capsys, monkeypatch):
+    from isolev import isomgroup
+
+    lang_file = tmp_path / "t2.lang"
+    assert run(capsys, "construct", "theorem2", "--graph", "petersen",
+               "--out", str(lang_file))[0] == 0
+    monkeypatch.setattr(isomgroup, "SEARCH_NODE_CAP", 5)
+    code, out, err = run(capsys, "isom", "--lang", str(lang_file))
+    assert code == 3 and out == ""
+    assert "visited 6 nodes, over the cap of 5" in err
+
+
 def test_construct_theorem2_and_round_trip(tmp_path, capsys):
     out_file = tmp_path / "t2.lang"
     code, out, _ = run(capsys, "construct", "theorem2", "--graph", "k4",

@@ -1,9 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from isolev.constructs import catalog, catalog_graph, theorem2_language, unary_language
+from isolev.constructs import (
+    SimpleGraph,
+    catalog,
+    catalog_graph,
+    theorem2_language,
+    unary_language,
+)
 from isolev.editdist import DistanceMatrix, Weights, distance_matrix
 from isolev.isomgroup import (
     DegreeMismatch,
@@ -12,7 +19,7 @@ from isolev.isomgroup import (
     Permutation,
     PermutationGroup,
     _color_matrix,
-    _refine_classes,
+    _root_partition,
     graph_automorphisms,
     isometries,
     isometries_brute,
@@ -29,8 +36,6 @@ def test_permutation_basics():
     q = perm(0, 2, 1)
     assert (p * q)(0) == 2  # p then q
     assert p.inverse() * p == Permutation.identity(3)
-    assert p.order() == 2
-    assert perm(1, 2, 0).order() == 3
     assert perm(1, 2, 3, 0).cycles() == [(0, 1, 2, 3)]
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
@@ -197,10 +202,141 @@ def test_frucht_rigidity_by_independent_refinement():
         tuple(str(i) for i in range(g.n)),
         tuple(tuple(Fraction(d) for d in row) for row in dist),
     )
-    classes = _refine_classes(_color_matrix(matrix))
-    assert sorted(classes) == list(range(g.n))
+    lab, size = _root_partition(_color_matrix(matrix))
+    assert sorted(lab) == list(range(g.n))
+    assert size == [1] * g.n
 
 
 def test_same_group_requires_matching_degree():
     with pytest.raises(DegreeMismatch):
         same_group(PermutationGroup(2, []), PermutationGroup(3, []))
+
+
+# ---- graph families built in code, with closed-form automorphism orders ----
+
+
+def _cycle(offset, n, step=1):
+    return [(offset + i, offset + (i + step) % n) for i in range(n)]
+
+
+def generalized_petersen(n, k):
+    """GP(n, k); GP(n, 1) is the prism C_n x K2."""
+    edges = _cycle(0, n) + _cycle(n, n, k) + [(i, n + i) for i in range(n)]
+    return SimpleGraph.from_edges(2 * n, edges)
+
+
+def hypercube(d):
+    return SimpleGraph.from_edges(
+        2**d, [(v, v ^ (1 << b)) for v in range(2**d) for b in range(d) if v < v ^ (1 << b)]
+    )
+
+
+def paley(p):
+    squares = {x * x % p for x in range(1, p)}
+    return SimpleGraph.from_edges(
+        p, [(a, b) for a in range(p) for b in range(a + 1, p) if (b - a) % p in squares]
+    )
+
+
+def random_cubic(n, seed):
+    """Simple cubic graph from the seeded pairing model."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return SimpleGraph.from_edges(n, sorted(edges))
+
+
+def test_prism_orders_are_4n():
+    for n in (3, 5, 6, 7, 8, 12, 16, 50):
+        assert graph_automorphisms(generalized_petersen(n, 1)).order() == 4 * n
+    # C_4 x K2 is the cube Q3, with 48 automorphisms rather than 16.
+    assert graph_automorphisms(generalized_petersen(4, 1)).order() == 48
+
+
+def test_hypercube_orders():
+    for d in range(1, 7):
+        assert graph_automorphisms(hypercube(d)).order() == 2**d * math.factorial(d)
+
+
+def test_paley_orders():
+    for p in (5, 13, 17, 29, 37, 41):
+        assert graph_automorphisms(paley(p)).order() == p * (p - 1) // 2
+
+
+def test_generalized_petersen_orders():
+    expected = {(5, 2): 120, (8, 3): 96, (10, 2): 120, (10, 3): 240}
+    for (n, k), order in expected.items():
+        assert graph_automorphisms(generalized_petersen(n, k)).order() == order
+
+
+def count_automorphisms(graph):
+    """Independent oracle: extend a vertex map one vertex at a time."""
+    adj = [set() for _ in range(graph.n)]
+    for a, b in graph.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    image = []
+
+    def extend(v):
+        if v == graph.n:
+            return 1
+        total = 0
+        for w in set(range(graph.n)) - set(image):
+            if all((u in adj[v]) == (image[u] in adj[w]) for u in range(v)):
+                image.append(w)
+                total += extend(v + 1)
+                image.pop()
+        return total
+
+    return extend(0)
+
+
+def test_random_cubic_orders_match_independent_count():
+    # Seeds 152 and 184 give 10-vertex graphs whose search must backtrack
+    # below a candidate: the first child it tries there leads to no isometry.
+    for n, seed in ((10, 152), (10, 184), (10, 1), (12, 2), (12, 3)):
+        graph = random_cubic(n, seed)
+        assert graph_automorphisms(graph).order() == count_automorphisms(graph)
+
+
+def test_relabelling_conjugates_the_group():
+    for n, seed in ((24, 1), (24, 2), (24, 3), (100, 4)):
+        graph = random_cubic(n, seed)
+        images = list(range(n))
+        random.Random(seed).shuffle(images)
+        relabel = Permutation(images)
+        moved = SimpleGraph.from_edges(n, [(images[a], images[b]) for a, b in graph.edges])
+        g, h = graph_automorphisms(graph), graph_automorphisms(moved)
+        assert g.order() == h.order()
+        assert h.orbits().blocks == tuple(
+            sorted(tuple(sorted(images[x] for x in block)) for block in g.orbits().blocks)
+        )
+        back = relabel.inverse()
+        assert all(h.contains(back * x * relabel) for x in g.generators)
+        assert all(g.contains(relabel * y * back) for y in h.generators)
+
+
+def _random_matrix(rng, n, values):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.choice(values))
+    return DistanceMatrix(tuple(map(str, range(n))), tuple(map(tuple, rows)))
+
+
+def test_solver_matches_brute_on_random_matrices():
+    rng = random.Random(7)
+    # Two values a <= b <= 2a always satisfy the triangle inequality, and so
+    # do three values 2 <= c <= 4.  Skewed choices leave room for symmetry.
+    palettes = [(1, 2), (1, 2, 2, 2), (1, 1, 1, 2), (2, 3, 4), (2, 2, 2, 3, 4)]
+    for trial in range(40):
+        n = rng.randint(2, 8) if trial % 10 else 9
+        m = _random_matrix(rng, n, rng.choice(palettes))
+        m.validate()
+        a, b = isometries(m), isometries_brute(m)
+        assert a.order() == b.order()
+        assert same_group(a, b)
+
