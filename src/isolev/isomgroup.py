@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations as _all_permutations
 from typing import Iterable, Optional, Sequence
 
-from .editdist import DistanceMatrix, Rat
+from .editdist import DistanceMatrix
 
 BRUTE_MAX_DEGREE = 9
 
@@ -307,12 +306,9 @@ def same_group(g: PermutationGroup, h: PermutationGroup) -> bool:
 
 def _color_matrix(matrix: DistanceMatrix) -> list[list[int]]:
     """Each entry replaced by its rank among the distinct entries."""
-    # A (numerator, denominator) pair names the same value as the rational
-    # and hashes several times faster.
-    pairs = [[(v.numerator, v.denominator) for v in row] for row in matrix.entries]
-    values = sorted({p for row in pairs for p in row}, key=lambda p: Fraction(*p))
-    code = {p: i for i, p in enumerate(values)}
-    return [[code[p] for p in row] for row in pairs]
+    values = sorted({x for row in matrix.rows for x in row})
+    code = {x: i for i, x in enumerate(values)}.__getitem__
+    return [list(map(code, row)) for row in matrix.rows]
 
 
 def _refine(
@@ -565,14 +561,9 @@ def graph_automorphisms(graph) -> PermutationGroup:
     if n <= 1:
         return PermutationGroup(n, [])
     adjacent = set(graph.edges)
-    zero, one, two = Rat(0), Rat(1), Rat(2)
-    rows = []
-    for a in range(n):
-        rows.append(
-            tuple(
-                zero if a == b else (one if (min(a, b), max(a, b)) in adjacent else two)
-                for b in range(n)
-            )
-        )
+    rows = tuple(
+        tuple(0 if a == b else (1 if (min(a, b), max(a, b)) in adjacent else 2) for b in range(n))
+        for a in range(n)
+    )
     labels = tuple(str(v) for v in range(n))
-    return isometries(DistanceMatrix(labels, tuple(rows)))
+    return isometries(DistanceMatrix(labels, rows))

@@ -559,8 +559,7 @@ def check_theorem4(k=2, depth=1, theta=1):
                 )
     _layer_separation_witnesses(matrix, layers, wit)
 
-    layer_lang = Language([lang[i] for i in layer1])
-    layer_group = isometries(distance_matrix(layer_lang, th))
+    layer_group = isometries(matrix.submatrix(layer1))
     statement_order = factorial(k) ** k * factorial(k)
     proof_order = factorial(k) ** k * factorial(2)
     readings = {"statement": statement_order, "proof": proof_order}
@@ -579,8 +578,7 @@ def check_theorem4(k=2, depth=1, theta=1):
     group = isometries(matrix)
     expected_full = 1
     for level in range(1, depth + 1):
-        layer_words = Language([lang[i] for i in layers[level]])
-        expected_full *= isometries(distance_matrix(layer_words, th)).order()
+        expected_full *= isometries(matrix.submatrix(layers[level])).order()
     if group.order() != expected_full:
         wit.add(f"full group order {group.order()}, product of layer orders {expected_full}")
     return _report(

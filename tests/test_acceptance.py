@@ -441,10 +441,10 @@ def test_c12_solver_completeness():
     compare("theorem4 k2 layer", _theorem4_fixture(2)[2])
 
     rng = random.Random(18)
-    values = [Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(7, 4), Fraction(2)]
+    values = [4, 5, 6, 7, 8]  # 1, 5/4, 3/2, 7/4, 2 over the denominator 4
     for trial in range(50):
         degree = rng.randint(2, 7)
-        rows = [[Fraction(0)] * degree for _ in range(degree)]
+        rows = [[0] * degree for _ in range(degree)]
         for i in range(degree):
             for j in range(i + 1, degree):
                 d = rng.choice(values)
@@ -452,6 +452,7 @@ def test_c12_solver_completeness():
         matrix = DistanceMatrix(
             tuple(f"w{i}" for i in range(degree)),
             tuple(tuple(r) for r in rows),
+            4,
         )
         matrix.validate()
         compare(f"random #{trial} degree {degree}", matrix)

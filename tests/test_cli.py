@@ -76,6 +76,56 @@ def test_matrix_rejects_duplicates(tmp_path, capsys):
     assert code == 2 and "duplicate" in err
 
 
+# Outputs of a language whose entries are not integers, fixed literally so
+# that any change to the distance or matrix code that alters a byte fails.
+# At gamma = 2/3, theta = 1 runs the row DP and theta = 3/2 the LCS kernel.
+PINNED_WORDS = "<eps>\na\nb\nab\nba\naab\nbba\n"
+PINNED_ISOM = ('{"degree": 7, "order": "4", "generators": [[0, 2, 1, 3, 4, 5, 6], '
+               '[0, 1, 2, 4, 3, 6, 5]], "orbit_sizes": [1, 2, 2, 2]}\n')
+PINNED = {
+    "1": (
+        "<eps>\ta\tb\tab\tba\taab\tbba\n"
+        "0\t2/3\t2/3\t4/3\t4/3\t2\t2\n"
+        "2/3\t0\t1\t2/3\t2/3\t4/3\t4/3\n"
+        "2/3\t1\t0\t2/3\t2/3\t4/3\t4/3\n"
+        "4/3\t2/3\t2/3\t0\t4/3\t2/3\t5/3\n"
+        "4/3\t2/3\t2/3\t4/3\t0\t5/3\t2/3\n"
+        "2\t4/3\t4/3\t2/3\t5/3\t0\t7/3\n"
+        "2\t4/3\t4/3\t5/3\t2/3\t7/3\t0\n",
+        '{"words": ["", "a", "b", "ab", "ba", "aab", "bba"], "entries": '
+        '[[0, "2/3", "2/3", "4/3", "4/3", 2, 2], ["2/3", 0, 1, "2/3", "2/3", "4/3", "4/3"], '
+        '["2/3", 1, 0, "2/3", "2/3", "4/3", "4/3"], ["4/3", "2/3", "2/3", 0, "4/3", "2/3", "5/3"], '
+        '["4/3", "2/3", "2/3", "4/3", 0, "5/3", "2/3"], [2, "4/3", "4/3", "2/3", "5/3", 0, "7/3"], '
+        '[2, "4/3", "4/3", "5/3", "2/3", "7/3", 0]]}\n',
+    ),
+    "3/2": (
+        "<eps>\ta\tb\tab\tba\taab\tbba\n"
+        "0\t2/3\t2/3\t4/3\t4/3\t2\t2\n"
+        "2/3\t0\t4/3\t2/3\t2/3\t4/3\t4/3\n"
+        "2/3\t4/3\t0\t2/3\t2/3\t4/3\t4/3\n"
+        "4/3\t2/3\t2/3\t0\t4/3\t2/3\t2\n"
+        "4/3\t2/3\t2/3\t4/3\t0\t2\t2/3\n"
+        "2\t4/3\t4/3\t2/3\t2\t0\t8/3\n"
+        "2\t4/3\t4/3\t2\t2/3\t8/3\t0\n",
+        '{"words": ["", "a", "b", "ab", "ba", "aab", "bba"], "entries": '
+        '[[0, "2/3", "2/3", "4/3", "4/3", 2, 2], ["2/3", 0, "4/3", "2/3", "2/3", "4/3", "4/3"], '
+        '["2/3", "4/3", 0, "2/3", "2/3", "4/3", "4/3"], ["4/3", "2/3", "2/3", 0, "4/3", "2/3", 2], '
+        '["4/3", "2/3", "2/3", "4/3", 0, 2, "2/3"], [2, "4/3", "4/3", "2/3", 2, 0, "8/3"], '
+        '[2, "4/3", "4/3", 2, "2/3", "8/3", 0]]}\n',
+    ),
+}
+
+
+def test_matrix_and_isom_output_pinned(tmp_path, capsys):
+    lang_file = tmp_path / "pinned.lang"
+    lang_file.write_text(PINNED_WORDS)
+    for theta, (tsv, js) in PINNED.items():
+        weights = ["--lang", str(lang_file), "--gamma", "2/3", "--theta", theta]
+        assert run(capsys, "matrix", *weights) == (0, tsv, "")
+        assert run(capsys, "matrix", *weights, "--format", "json") == (0, js, "")
+        assert run(capsys, "isom", *weights) == (0, PINNED_ISOM, "")
+
+
 def test_isom_command(tmp_path, capsys):
     lang_file = tmp_path / "u.lang"
     assert run(capsys, "construct", "unary", "--lengths", "1", "3", "5",

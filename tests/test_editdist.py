@@ -12,8 +12,11 @@ from isolev.editdist import (
     LengthMismatch,
     NormalizedWeights,
     Weights,
+    _lcs,
     _lev_ints_numpy,
     _lev_ints_python,
+    _lev_scaled,
+    _myers,
     distance_matrix,
     hamming,
     lev,
@@ -77,6 +80,67 @@ def test_dp_engines_agree():
         t = rng.randint(1, 7)
         if u:
             assert _lev_ints_python(u, v, g, t) == _lev_ints_numpy(u, v, g, t)
+
+
+# Alphabets of size 1, 2, 4 and many non-ASCII symbols.
+KERNEL_ALPHABETS = ["a", "01", "acgt", "αβγδεζηθλμξπστφψω⊕⊗★☆中文字"]
+# (g, t) in every regime: t < g, t = g, g < t < 2g, t = 2g, t > 2g.
+KERNEL_WEIGHTS = [(2, 1), (1, 1), (2, 3), (1, 2), (1, 3)]
+
+
+def _kernel_pairs(seed, count=8, max_len=300):
+    """Seeded pairs of length 0-300 over each alphabet, half of them sharing
+    a prefix and a suffix, so bit vectors cross 64 bits and stripping runs."""
+    rng = random.Random(seed)
+    word = lambda a, n: "".join(rng.choice(a) for _ in range(n))
+    for alphabet in KERNEL_ALPHABETS:
+        for k in range(count):
+            u, v = word(alphabet, rng.randint(0, max_len)), word(alphabet, rng.randint(0, max_len))
+            if k % 2:
+                pre, suf = word(alphabet, rng.randint(0, 40)), word(alphabet, rng.randint(0, 40))
+                u, v = pre + u[: max_len // 2] + suf, pre + v[: max_len // 2] + suf
+            yield u, v
+
+
+def test_kernels_match_reference_dp():
+    big = 10**20  # scaled weights past int64: the numpy DP must be skipped
+    for u, v in _kernel_pairs(606):
+        ref = {(g, t): _lev_ints_python(u, v, g, t) for g, t in KERNEL_WEIGHTS}
+        if u and v:
+            assert _myers(u, v) == ref[1, 1], (u, v)
+            assert _myers(v, u) == ref[1, 1], (u, v)
+            assert len(u) + len(v) - 2 * _lcs(u, v) == ref[1, 2], (u, v)
+            assert _lcs(u, v) == _lcs(v, u), (u, v)
+            assert _lev_ints_numpy(u, v, 2, 3) == ref[2, 3], (u, v)
+            assert _lev_ints_numpy(u, v, 2, 1) == ref[2, 1], (u, v)
+        for (g, t), d in ref.items():
+            assert _lev_scaled(u, v, g, t) == d, (u, v, g, t)
+            assert _lev_scaled(v, u, 3 * g, 3 * t) == 3 * d, (u, v, g, t)
+            assert _lev_scaled(u, v, big * g, big * t) == big * d, (u, v, g, t)
+
+
+@pytest.mark.parametrize("ratio", [Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
+def test_lev_matches_oracle_at_extreme_rationals(ratio):
+    rng = random.Random(f"extreme-{ratio}")
+    for gamma in (Fraction(1, 10**30), Fraction(10**30 + 1, 7)):
+        w = Weights(gamma, gamma * ratio)
+        words = list(binary_words(2)) + ["".join(rng.choice("abc") for _ in range(
+            rng.randint(0, 7))) for _ in range(12)]
+        for u in words:
+            for v in words:
+                assert lev(u, v, w) == lev_oracle(u, v, w), (u, v, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet="abcd", max_size=90),
+    st.text(alphabet="abcd", max_size=90),
+    st.sampled_from(KERNEL_WEIGHTS),
+    st.integers(min_value=1, max_value=5),
+)
+def test_every_regime_matches_reference_property(u, v, weights, scale):
+    g, t = weights[0] * scale, weights[1] * scale
+    assert _lev_scaled(u, v, g, t) == _lev_ints_python(u, v, g, t)
 
 
 def test_hamming():
@@ -199,13 +263,9 @@ def test_distance_matrix_rejects_duplicates():
 def test_matrix_validate_catches_bad_tables():
     good = distance_matrix(["", "0", "01"])
     good.validate()
-    broken = DistanceMatrix(good.words, ((Fraction(0), Fraction(1), Fraction(2)),
-                                         (Fraction(1), Fraction(0), Fraction(1)),
-                                         (Fraction(2), Fraction(2), Fraction(0))))
+    broken = DistanceMatrix(good.words, ((0, 1, 2), (1, 0, 1), (2, 2, 0)))
     with pytest.raises(ValueError):
         broken.validate()
-    lopsided = DistanceMatrix(good.words, ((Fraction(0), Fraction(9), Fraction(1)),
-                                           (Fraction(9), Fraction(0), Fraction(1)),
-                                           (Fraction(1), Fraction(1), Fraction(0))))
+    lopsided = DistanceMatrix(good.words, ((0, 9, 1), (9, 0, 1), (1, 1, 0)))
     with pytest.raises(ValueError):
         lopsided.validate()

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -98,9 +97,7 @@ def test_isometries_line_metric_is_rigid():
 
 
 def test_isometries_all_equal_matrix_gives_full_symmetric_group():
-    rows = tuple(
-        tuple(Fraction(0) if i == j else Fraction(4) for j in range(4)) for i in range(4)
-    )
+    rows = tuple(tuple(0 if i == j else 4 for j in range(4)) for i in range(4))
     group = isometries(DistanceMatrix(("a", "b", "c", "d"), rows))
     assert group.order() == 24
 
@@ -200,7 +197,7 @@ def test_frucht_rigidity_by_independent_refinement():
         dist.append(row)
     matrix = DistanceMatrix(
         tuple(str(i) for i in range(g.n)),
-        tuple(tuple(Fraction(d) for d in row) for row in dist),
+        tuple(map(tuple, dist)),
     )
     lab, size = _root_partition(_color_matrix(matrix))
     assert sorted(lab) == list(range(g.n))
@@ -320,10 +317,10 @@ def test_relabelling_conjugates_the_group():
 
 
 def _random_matrix(rng, n, values):
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = Fraction(rng.choice(values))
+            rows[i][j] = rows[j][i] = rng.choice(values)
     return DistanceMatrix(tuple(map(str, range(n))), tuple(map(tuple, rows)))
 
 
