@@ -148,6 +148,16 @@ def _need(args, flag: str):
     return value
 
 
+def _count(args, dest: str, default=None, least=0, greatest=None) -> int:
+    """The value of the count flag ``--dest`` (``default`` when not given),
+    which must lie between ``least`` and ``greatest``."""
+    value = _opt(getattr(args, dest), default)
+    if value < least or greatest is not None and value > greatest:
+        bound = f"at least {least}" if greatest is None else f"between {least} and {greatest}"
+        raise ValueError(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
+    return value
+
+
 def _graphs_and_depth(names, depth):
     graphs = [_resolve_graph(t) for t in names]
     return graphs, _opt(depth, len(graphs))
@@ -169,7 +179,7 @@ _FAMILIES = {
     "theorem5": lambda a: theorem5_language(*_graph_pair(a, _need(a, "graphs")),
                                             _opt(a.depth, 1)),
     "lemma5": lambda a: lemma5_language(load_language(_need(a, "lang")), _opt(a.depth, 1)),
-    "theorem6": lambda a: theorem6_language(a.layers),
+    "theorem6": lambda a: theorem6_language(_count(a, "layers", least=1)),
     "unary": lambda a: unary_language(_need(a, "lengths")),
     "prop4": lambda a: prop4_language(a.max),
 }
@@ -178,17 +188,19 @@ _FAMILIES = {
 # the command's own defaults; the checker is looked up in ``claims`` when called.
 _CLAIMS = {
     "metric": lambda a, gamma, theta: claims.check_metric(
-        gamma, theta, _opt(a.samples, 1000), a.max_len, a.seed),
+        gamma, theta, _count(a, "samples", 1000), _count(a, "max_len", 12), a.seed),
     "bounds": lambda a, gamma, theta: claims.check_bounds(
-        gamma, theta, _opt(a.samples, 1000), a.max_len, a.seed),
+        gamma, theta, _count(a, "samples", 1000), _count(a, "max_len", 12), a.seed),
     "homothety": lambda a, gamma, theta: claims.check_homothety(
-        _opt(a.samples, 500), a.max_len, a.seed),
-    "prop3": lambda a, gamma, theta: claims.check_prop3(a.random, a.max_size, a.seed),
+        _count(a, "samples", 500), _count(a, "max_len", 12), a.seed),
+    "prop3": lambda a, gamma, theta: claims.check_prop3(
+        _count(a, "random"), _count(a, "max_size", least=1, greatest=claims.PROP3_LENGTHS),
+        a.seed),
     "prop4": lambda a, gamma, theta: claims.check_prop4(a.max),
     "theorem1": lambda a, gamma, theta: claims.check_theorem1(
         load_language(_need(a, "lang")), gamma, theta),
     "lemma3": lambda a, gamma, theta: claims.check_lemma3(
-        _opt(a.samples, 200), theta, seed=a.seed),
+        _count(a, "samples", 200), theta, _count(a, "max_len", 5, least=1), a.seed),
     "lemma4": lambda a, gamma, theta: claims.check_lemma4(a.graph),
     "theorem2": lambda a, gamma, theta: claims.check_theorem2(a.graph or "k4", theta),
     "theorem3": lambda a, gamma, theta: claims.check_theorem3(
@@ -198,7 +210,8 @@ _CLAIMS = {
         *_graph_pair(a, a.graphs or ["k4", "k33"]), _opt(a.depth, 1), theta),
     "lemma5": lambda a, gamma, theta: claims.check_lemma5(
         load_language(a.lang) if a.lang else None, _opt(a.depth, 2), theta),
-    "theorem6": lambda a, gamma, theta: claims.check_theorem6(a.layers, theta),
+    "theorem6": lambda a, gamma, theta: claims.check_theorem6(
+        _count(a, "layers", least=1), theta),
 }
 
 
@@ -280,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--seed", type=int, default=claims.DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=None, help="sample count for randomized checks")
-    p.add_argument("--max-len", type=int, default=12, dest="max_len")
+    p.add_argument("--max-len", type=int, default=None, dest="max_len",
+                   help="longest random word (default 12; lemma3: 5)")
     p.add_argument("--random", type=int, default=20, help="random language count (prop3)")
     p.add_argument("--max-size", type=int, default=12, dest="max_size")
     p.add_argument("--max", type=int, default=6, help="largest run length (prop4)")

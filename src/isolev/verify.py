@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from typing import Optional, Sequence
 
 from .constructs import (
@@ -41,6 +41,7 @@ from .langlib import (
 from .isomgroup import Permutation, graph_automorphisms, isometries, same_group
 
 DEFAULT_SEED = 20240817
+PROP3_LENGTHS = 40  # prop3 draws its word lengths from range(PROP3_LENGTHS)
 _WITNESS_CAP = 12
 
 
@@ -76,7 +77,8 @@ class VerificationReport:
         for key, value in self.details.items():
             lines.append(f"  {key}: {_scalar(value)}")
         if self.witnesses:
-            lines.append(f"witnesses ({len(self.witnesses)} shown):")
+            shown = [w for w in self.witnesses if not w.startswith("... and ")]
+            lines.append(f"witnesses ({len(shown)} shown):")
             lines.extend(f"  - {w}" for w in self.witnesses)
         return "\n".join(lines)
 
@@ -249,7 +251,7 @@ def check_prop3(count=20, max_size=12, seed=DEFAULT_SEED):
     orders = []
     for _ in range(count):
         size = rng.randint(1, max_size)
-        lengths = rng.sample(range(0, 40), size)
+        lengths = rng.sample(range(PROP3_LENGTHS), size)
         lang = unary_language(lengths)
         order = isometries(distance_matrix(lang)).order()
         orders.append(order)
@@ -403,6 +405,58 @@ def check_lemma4(graph_name: Optional[str] = None):
     return _report("lemma4", {"graphs": names}, wit, {}, t0)
 
 
+def _adjacency(graph: SimpleGraph):
+    """Within-layer rule of a stretched incidence block: 4 or 6 by adjacency."""
+    return lambda i, j: 4 if graph.has_edge(i, j) else 6
+
+
+def _check_layered(claim, params, t0, lang: Language, th: Weights, within,
+                   extra, order=None, orbits=None) -> VerificationReport:
+    """Check a layered construction against the rule all its claims share.
+
+    The words are grouped into layers by length.  Every pair a < b is
+    checked: within layer L its distance is ``within[L](i, j)`` at the two
+    words' positions i < j in that layer, and across layers it is the length
+    gap.  Every within-layer distance must lie below every cross-layer one.
+    Then the isometry group's order and sorted orbit sizes are compared with
+    ``order`` and ``orbits`` when given, and ``extra(matrix, layers, group,
+    wit, details)`` adds the claim's own checks and details.
+    """
+    matrix = distance_matrix(lang, th)
+    lengths = sorted(set(lang.lengths()))
+    layers = [[a for a, word in enumerate(lang) if len(word) == n] for n in lengths]
+    place = {a: (la, i) for la, layer in enumerate(layers) for i, a in enumerate(layer)}
+    wit = _Witnesses()
+    within_max, cross_min = Rat(0), None
+    for a in range(len(lang)):
+        la, i = place[a]
+        for b in range(a + 1, len(lang)):
+            lb, j = place[b]
+            got = matrix.entry(a, b)
+            if la == lb:
+                expect = Rat(within[la](i, j))
+                within_max = max(within_max, got)
+            else:
+                expect = Rat(abs(len(lang[a]) - len(lang[b])))
+                cross_min = got if cross_min is None else min(cross_min, got)
+            if got != expect:
+                wit.add(f"lev(#{a}, #{b}) = {got}, wanted {expect}")
+    if cross_min is not None and within_max >= cross_min:
+        wit.add(f"layer separation fails: max within {within_max} >= min cross {cross_min}")
+    group = isometries(matrix)
+    sizes = sorted(group.orbits().sizes())
+    if order is not None and group.order() != order:
+        wit.add(f"group order {group.order()}, wanted {order}")
+    if orbits is not None and sizes != sorted(orbits):
+        wit.add(f"orbit sizes {sizes}, wanted {sorted(orbits)}")
+    details = {"words": len(lang)}
+    extra(matrix, layers, group, wit, details)
+    details["group_order"] = str(group.order())
+    if orbits is not None:
+        details["orbit_sizes"] = sizes
+    return _report(claim, params, wit, details, t0)
+
+
 def check_theorem2(graph_name: str = "k4", theta=1):
     """The stretched incidence language of a cubic graph has distances 4/6
     mirroring adjacency and its isometry group is the automorphism group of
@@ -412,116 +466,49 @@ def check_theorem2(graph_name: str = "k4", theta=1):
     g = entry.graph
     th = Weights(1, theta)
     lang = theorem2_language(g)
-    wit = _Witnesses()
-    if any(len(word) != 16 * g.edge_count for word in lang):
-        wit.add(f"word lengths {sorted(set(lang.lengths()))}, wanted 16|E|={16 * g.edge_count}")
-    matrix = distance_matrix(lang, th)
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            expect = Rat(4 if g.has_edge(i, j) else 6)
-            if matrix.entry(i, j) != expect:
-                wit.add(f"lev(w{i}, w{j}) = {matrix.entry(i, j)}, wanted {expect}")
-    group = isometries(matrix)
-    auts = graph_automorphisms(g)
-    if group.order() != entry.aut_order:
-        wit.add(f"group order {group.order()}, catalog automorphism order {entry.aut_order}")
-    if auts.order() != entry.aut_order:
-        wit.add(f"graph automorphism order {auts.order()} != catalog {entry.aut_order}")
-    if not same_group(group, auts):
-        wit.add("isometry group differs from transported automorphism group")
-    return _report(
-        "theorem2",
-        {"graph": entry.name, "theta": th.theta},
-        wit,
-        {"words": len(lang), "word_length": 16 * g.edge_count, "group_order": str(group.order())},
-        t0,
-    )
+
+    def extra(matrix, layers, group, wit, details):
+        if any(len(word) != 16 * g.edge_count for word in lang):
+            wit.add(f"word lengths {sorted(set(lang.lengths()))}, "
+                    f"wanted 16|E|={16 * g.edge_count}")
+        auts = graph_automorphisms(g)
+        if group.order() != entry.aut_order:
+            wit.add(f"group order {group.order()}, catalog automorphism order {entry.aut_order}")
+        if auts.order() != entry.aut_order:
+            wit.add(f"graph automorphism order {auts.order()} != catalog {entry.aut_order}")
+        if not same_group(group, auts):
+            wit.add("isometry group differs from transported automorphism group")
+        details["word_length"] = 16 * g.edge_count
+
+    return _check_layered("theorem2", {"graph": entry.name, "theta": th.theta}, t0, lang, th,
+                          [_adjacency(g)], extra)
 
 
-def _layers_by_length(lang: Language) -> list[list[int]]:
-    by_len: dict[int, list[int]] = {}
-    for i, word in enumerate(lang):
-        by_len.setdefault(len(word), []).append(i)
-    return [by_len[length] for length in sorted(by_len)]
-
-
-def _layer_separation_witnesses(matrix, layers, wit: _Witnesses) -> None:
-    within = Rat(0)
-    cross = None
-    for layer in layers:
-        for a in layer:
-            for b in layer:
-                if a < b:
-                    within = max(within, matrix.entry(a, b))
-    for la in range(len(layers)):
-        for lb in range(la + 1, len(layers)):
-            for a in layers[la]:
-                for b in layers[lb]:
-                    d = matrix.entry(a, b)
-                    cross = d if cross is None else min(cross, d)
-    if cross is not None and within >= cross:
-        wit.add(f"layer separation fails: max within {within} >= min cross {cross}")
-
-
-def check_theorem3(graphs: Sequence[SimpleGraph], depth: Optional[int] = None, theta=1,
-                   aut_orders: Optional[Sequence[int]] = None):
+def check_theorem3(graphs: Sequence[SimpleGraph], depth: Optional[int] = None, theta=1):
     """Layered union over a graph sequence: cross-layer distances equal the
     length difference, the group is the direct product of the per-graph
-    automorphism groups, and growth stays below 1 + n/24."""
+    automorphism groups (with their orbits), and growth stays below
+    1 + n/24."""
     t0 = time.perf_counter()
     if depth is None:
         depth = len(graphs)
     th = Weights(1, theta)
     lang = theorem3_language(list(graphs), depth)
-    matrix = distance_matrix(lang, th)
-    wit = _Witnesses()
-    layers = _layers_by_length(lang)
-    lengths = [len(lang[layer[0]]) for layer in layers]
-    for la in range(len(layers)):
-        for lb in range(la + 1, len(layers)):
-            expect = Rat(lengths[lb] - lengths[la])
-            for a in layers[la]:
-                for b in layers[lb]:
-                    if matrix.entry(a, b) != expect:
-                        wit.add(
-                            f"cross-layer lev(#{a}, #{b}) = {matrix.entry(a, b)}, wanted {expect}"
-                        )
-    for level, graph in enumerate(graphs[:depth], 1):
-        layer = layers[level]
-        for ia, a in enumerate(layer):
-            for ib in range(ia + 1, len(layer)):
-                b = layer[ib]
-                expect = Rat(4 if graph.has_edge(ia, ib) else 6)
-                if matrix.entry(a, b) != expect:
-                    wit.add(f"layer {level}: lev(#{a}, #{b}) = {matrix.entry(a, b)}, wanted {expect}")
-    _layer_separation_witnesses(matrix, layers, wit)
-    group = isometries(matrix)
-    if aut_orders is None:
-        aut_orders = [graph_automorphisms(g).order() for g in graphs[:depth]]
-    expected_order = 1
-    for o in aut_orders:
-        expected_order *= o
-    if group.order() != expected_order:
-        wit.add(f"group order {group.order()}, wanted {expected_order}")
-    expect_orbits = sorted([1] + [g.n for g in graphs[:depth]])
-    if sorted(group.orbits().sizes()) != expect_orbits:
-        wit.add(f"orbit sizes {sorted(group.orbits().sizes())}, wanted {expect_orbits}")
-    max_len = max(lang.lengths())
-    for bound_n in range(max_len + 1):
-        if growth(lang, bound_n) > 1 + Fraction(bound_n, 24):
-            wit.add(f"growth({bound_n}) = {growth(lang, bound_n)} exceeds 1 + {bound_n}/24")
-            break
-    return _report(
-        "theorem3",
-        {"layers": depth, "theta": th.theta},
-        wit,
-        {
-            "words": len(lang),
-            "layer_lengths": lengths[1:],
-            "group_order": str(group.order()),
-            "orbit_sizes": sorted(group.orbits().sizes()),
-        },
-        t0,
+    auts = [graph_automorphisms(g) for g in graphs[:depth]]
+
+    def extra(matrix, layers, group, wit, details):
+        for bound_n in range(max(lang.lengths()) + 1):
+            if growth(lang, bound_n) > 1 + Fraction(bound_n, 24):
+                wit.add(f"growth({bound_n}) = {growth(lang, bound_n)} exceeds 1 + {bound_n}/24")
+                break
+        details["layer_lengths"] = [len(lang[layer[0]]) for layer in layers[1:]]
+
+    # layer 0 is the empty word alone, so its rule is never asked for
+    return _check_layered(
+        "theorem3", {"layers": depth, "theta": th.theta}, t0, lang, th,
+        [None] + [_adjacency(g) for g in graphs[:depth]], extra,
+        order=prod(a.order() for a in auts),
+        orbits=[1] + [size for a in auts for size in a.orbits().sizes()],
     )
 
 
@@ -529,133 +516,59 @@ def check_theorem4(k=2, depth=1, theta=1):
     """Layered all-words construction: layer distances are the Hamming
     distances of the underlying words, and the first layer's group order is
     compared against the two candidate product formulas; the check demands
-    that exactly one reading matches (they coincide for k=2)."""
+    that one reading matches (they coincide for k=2)."""
     t0 = time.perf_counter()
     th = Weights(1, theta)
     lang = theorem4_language(k, depth)
-    wit = _Witnesses()
-    layers = _layers_by_length(lang)
-    measured = [len(lang[layer[0]]) for layer in layers[1:]]
-    closed_form = []
-    acc = 0
+    within = [None]  # layer 0 is the empty word alone
     for level in range(1, depth + 1):
-        acc = acc + 2 * k**level * (k ** (level + 1) + 2)
-        closed_form.append(acc)
-    sizes_ok = [len(layers[level]) == k ** (k**level) for level in range(1, depth + 1)]
-    if not all(sizes_ok):
-        wit.add(f"layer sizes {[len(l) for l in layers[1:]]} do not match k^(k^level)")
+        words = ["".join(w) for w in product(map(str, range(k)), repeat=k**level)]
+        within.append(lambda i, j, words=words: hamming(words[i], words[j]))
 
-    base_words = ["".join(w) for w in _all_digit_words(k, k)]
-    layer1 = layers[1]
-    matrix = distance_matrix(lang, th)
-    for ia in range(len(layer1)):
-        for ib in range(ia + 1, len(layer1)):
-            expect = Rat(hamming(base_words[ia], base_words[ib]))
-            got = matrix.entry(layer1[ia], layer1[ib])
-            if got != expect:
-                wit.add(
-                    f"layer-1 lev({base_words[ia]!r}*, {base_words[ib]!r}*) = {got}, "
-                    f"wanted hamming {expect}"
-                )
-    _layer_separation_witnesses(matrix, layers, wit)
+    def extra(matrix, layers, group, wit, details):
+        sizes = [len(layer) for layer in layers[1:]]
+        if sizes != [k ** (k**level) for level in range(1, depth + 1)]:
+            wit.add(f"layer sizes {sizes} do not match k^(k^level)")
+        layer_orders = [isometries(matrix.submatrix(layer)).order() for layer in layers[1:]]
+        readings = {"statement": factorial(k) ** k * factorial(k),
+                    "proof": factorial(k) ** k * factorial(2)}
+        # the readings differ for k > 2, so at most one of them can match
+        matched = sorted(name for name, value in readings.items() if value == layer_orders[0])
+        if not matched:
+            wit.add(f"layer-1 group order {layer_orders[0]} matches neither reading "
+                    f"(statement {readings['statement']}, proof {readings['proof']})")
+        if group.order() != prod(layer_orders):
+            wit.add(f"full group order {group.order()}, "
+                    f"product of layer orders {prod(layer_orders)}")
+        measured = [len(lang[layer[0]]) for layer in layers[1:]]
+        closed_form = [sum(2 * k**lv * (k ** (lv + 1) + 2) for lv in range(1, level + 1))
+                       for level in range(1, depth + 1)]
+        details.update(measured_layer_lengths=measured, closed_form_layer_lengths=closed_form,
+                       closed_form_matches=measured == closed_form,
+                       layer1_group_order=str(layer_orders[0]), matched_reading=matched)
 
-    layer_group = isometries(matrix.submatrix(layer1))
-    statement_order = factorial(k) ** k * factorial(k)
-    proof_order = factorial(k) ** k * factorial(2)
-    readings = {"statement": statement_order, "proof": proof_order}
-    matched = sorted(name for name, value in readings.items() if value == layer_group.order())
-    if statement_order == proof_order:
-        if layer_group.order() != statement_order:
-            wit.add(
-                f"layer-1 group order {layer_group.order()}, both readings say {statement_order}"
-            )
-    elif len(matched) != 1:
-        wit.add(
-            f"layer-1 group order {layer_group.order()} matches {matched or 'neither reading'} "
-            f"(statement {statement_order}, proof {proof_order})"
-        )
-
-    group = isometries(matrix)
-    expected_full = 1
-    for level in range(1, depth + 1):
-        expected_full *= isometries(matrix.submatrix(layers[level])).order()
-    if group.order() != expected_full:
-        wit.add(f"full group order {group.order()}, product of layer orders {expected_full}")
-    return _report(
-        "theorem4",
-        {"k": k, "depth": depth, "theta": th.theta},
-        wit,
-        {
-            "words": len(lang),
-            "measured_layer_lengths": measured,
-            "closed_form_layer_lengths": closed_form,
-            "closed_form_matches": measured == closed_form,
-            "layer1_group_order": str(layer_group.order()),
-            "matched_reading": matched,
-            "group_order": str(group.order()),
-        },
-        t0,
-    )
+    return _check_layered("theorem4", {"k": k, "depth": depth, "theta": th.theta}, t0, lang,
+                          th, within, extra)
 
 
-def _all_digit_words(k: int, length: int):
-    return product([str(d) for d in range(k)], repeat=length)
-
-
-def check_theorem5(g1: SimpleGraph, g2: SimpleGraph, depth=1, theta=1,
-                   aut_orders: Optional[tuple[int, int]] = None):
+def check_theorem5(g1: SimpleGraph, g2: SimpleGraph, depth=1, theta=1):
     """One stretched incidence block plus a starred second block: star layers
     are metrically parallel (cross distance 2m|p-q|), and the group is the
-    product of the first block's group with depth+1 copies of the second's."""
+    product of the first block's group with depth+1 copies of the second's,
+    with their orbits."""
     t0 = time.perf_counter()
     th = Weights(1, theta)
     lang = theorem5_language(g1, g2, depth)
-    matrix = distance_matrix(lang, th)
-    wit = _Witnesses()
-    n = 16 * g1.edge_count
-    m = 16 * g2.edge_count
-    size2 = g2.n
-    star_start = g1.n
+    aut1, aut2 = graph_automorphisms(g1), graph_automorphisms(g2)
 
-    def star_index(p: int, i: int) -> int:
-        return star_start + p * size2 + i
+    def extra(matrix, layers, group, wit, details):
+        details["block_lengths"] = [16 * g1.edge_count, 16 * g2.edge_count]
 
-    for p in range(depth + 1):
-        for q in range(p, depth + 1):
-            for i in range(size2):
-                for j in range(size2):
-                    a, b = star_index(p, i), star_index(q, j)
-                    if a >= b:
-                        continue
-                    if p == q:
-                        expect = Rat(4 if g2.has_edge(i, j) else 6)
-                    else:
-                        expect = Rat(2 * m * (q - p))
-                    if matrix.entry(a, b) != expect:
-                        wit.add(
-                            f"star({p},{i})-star({q},{j}): {matrix.entry(a, b)}, wanted {expect}"
-                        )
-    layers = [list(range(g1.n))] + [
-        [star_index(p, i) for i in range(size2)] for p in range(depth + 1)
-    ]
-    _layer_separation_witnesses(matrix, layers, wit)
-    group = isometries(matrix)
-    if aut_orders is None:
-        aut_orders = (graph_automorphisms(g1).order(), graph_automorphisms(g2).order())
-    expected = aut_orders[0] * aut_orders[1] ** (depth + 1)
-    if group.order() != expected:
-        wit.add(f"group order {group.order()}, wanted {expected}")
-    return _report(
-        "theorem5",
-        {"depth": depth, "theta": th.theta},
-        wit,
-        {
-            "words": len(lang),
-            "block_lengths": [n, m],
-            "group_order": str(group.order()),
-            "orbit_sizes": sorted(group.orbits().sizes()),
-        },
-        t0,
+    return _check_layered(
+        "theorem5", {"depth": depth, "theta": th.theta}, t0, lang, th,
+        [_adjacency(g1)] + [_adjacency(g2)] * (depth + 1), extra,
+        order=aut1.order() * aut2.order() ** (depth + 1),
+        orbits=list(aut1.orbits().sizes()) + list(aut2.orbits().sizes()) * (depth + 1),
     )
 
 
@@ -669,47 +582,28 @@ def check_lemma5(base: Optional[Language] = None, depth=2, theta=1):
         base = Language(["00", "11"])
     th = Weights(1, theta)
     lang = lemma5_language(base, depth)
-    matrix = distance_matrix(lang, th)
     base_matrix = distance_matrix(base, th)
-    wit = _Witnesses()
-    n = len(base[0])
     size = len(base)
-    for p in range(depth + 1):
-        for q in range(p, depth + 1):
-            for i in range(size):
-                for j in range(size):
-                    a, b = p * size + i, q * size + j
-                    if a >= b:
-                        continue
-                    expect = base_matrix.entry(i, j) if p == q else Rat(2 * n * (q - p))
-                    if matrix.entry(a, b) != expect:
-                        wit.add(f"({p},{i})-({q},{j}): {matrix.entry(a, b)}, wanted {expect}")
-    group = isometries(matrix)
-    base_group = isometries(base_matrix)
-    # every product of per-layer isometries embeds
-    for gen in base_group.generators:
-        for p in range(depth + 1):
+
+    def extra(matrix, layers, group, wit, details):
+        base_group = isometries(base_matrix)
+        # every product of per-layer isometries embeds
+        for gen, p in product(base_group.generators, range(depth + 1)):
             images = list(range(len(lang)))
-            for i in range(size):
-                images[p * size + i] = p * size + gen(i)
+            images[p * size:(p + 1) * size] = [p * size + gen(i) for i in range(size)]
             if not group.contains(Permutation(images)):
                 wit.add(f"layer-{p} copy of base generator {gen!r} is not an isometry")
-    expected = base_group.order() ** (depth + 1)
-    if group.order() != expected:
-        wit.add(
-            f"group order {group.order()}, wanted {expected} "
-            f"(ratio {Fraction(group.order(), expected)})"
-        )
-    return _report(
-        "lemma5",
-        {"base_words": len(base), "depth": depth, "theta": th.theta},
-        wit,
-        {
-            "words": len(lang),
-            "base_group_order": str(base_group.order()),
-            "group_order": str(group.order()),
-        },
-        t0,
+        expected = base_group.order() ** (depth + 1)
+        if group.order() != expected:
+            wit.add(
+                f"group order {group.order()}, wanted {expected} "
+                f"(ratio {Fraction(group.order(), expected)})"
+            )
+        details["base_group_order"] = str(base_group.order())
+
+    return _check_layered(
+        "lemma5", {"base_words": len(base), "depth": depth, "theta": th.theta}, t0, lang, th,
+        [base_matrix.entry] * (depth + 1), extra,
     )
 
 
@@ -720,38 +614,17 @@ def check_theorem6(layers=3, theta=1):
     t0 = time.perf_counter()
     th = Weights(1, theta)
     lang = theorem6_language(layers)
-    wit = _Witnesses()
-    by_layer = _layers_by_length(lang)
-    for i, layer in enumerate(by_layer, 1):
-        if len(layer) != 2 * i:
-            wit.add(f"layer {i} has {len(layer)} words, wanted {2 * i}")
-        if len(lang[layer[0]]) != 6 * i:
-            wit.add(f"layer {i} length {len(lang[layer[0]])}, wanted {6 * i}")
-    matrix = distance_matrix(lang, th)
-    for a in range(len(lang)):
-        for b in range(a + 1, len(lang)):
-            expect = Rat(max(abs(len(lang[a]) - len(lang[b])), 2))
-            if matrix.entry(a, b) != expect:
-                wit.add(
-                    f"lev({lang[a]!r},{lang[b]!r}) = {matrix.entry(a, b)}, wanted {expect}"
-                )
-    group = isometries(matrix)
-    expected = 1
-    for i in range(1, layers + 1):
-        expected *= factorial(2 * i)
-    if group.order() != expected:
-        wit.add(f"group order {group.order()}, wanted {expected}")
-    expected_orbits = [2 * i for i in range(1, layers + 1)]
-    if sorted(group.orbits().sizes()) != expected_orbits:
-        wit.add(f"orbit sizes {sorted(group.orbits().sizes())}, wanted {expected_orbits}")
-    return _report(
-        "theorem6",
-        {"layers": layers, "theta": th.theta},
-        wit,
-        {
-            "words": len(lang),
-            "group_order": str(group.order()),
-            "orbit_sizes": sorted(group.orbits().sizes()),
-        },
-        t0,
+
+    def extra(matrix, by_layer, group, wit, details):
+        for i, layer in enumerate(by_layer, 1):
+            if len(layer) != 2 * i:
+                wit.add(f"layer {i} has {len(layer)} words, wanted {2 * i}")
+            if len(lang[layer[0]]) != 6 * i:
+                wit.add(f"layer {i} length {len(lang[layer[0]])}, wanted {6 * i}")
+
+    return _check_layered(
+        "theorem6", {"layers": layers, "theta": th.theta}, t0, lang, th,
+        [lambda i, j: 2] * layers, extra,
+        order=prod(factorial(2 * i) for i in range(1, layers + 1)),
+        orbits=[2 * i for i in range(1, layers + 1)],
     )

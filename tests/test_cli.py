@@ -1,4 +1,5 @@
 import json
+import re
 
 from isolev.cli import main
 from isolev.langlib import Language, load_language
@@ -126,6 +127,106 @@ def test_matrix_and_isom_output_pinned(tmp_path, capsys):
         assert run(capsys, "isom", *weights) == (0, PINNED_ISOM, "")
 
 
+# Reports of every layered construction claim at its defaults, fixed
+# literally (elapsed time masked) so that the claim checkers keep every byte.
+PINNED_REPORTS = {
+    "theorem2": (0, (
+        "claim: theorem2\n"
+        "params: graph=k4 theta=1\n"
+        "result: PASS (T)\n"
+        "  words: 4\n"
+        "  word_length: 96\n"
+        "  group_order: 24\n"
+    ), (
+        '{"claim": "theorem2", "params": {"graph": "k4", "theta": 1}, "passed": true, '
+        '"witnesses": [], "details": {"words": 4, "word_length": 96, "group_order": "24"}, '
+        '"elapsed_seconds": T}\n'
+    )),
+    "theorem3": (0, (
+        "claim: theorem3\n"
+        "params: layers=2 theta=1\n"
+        "result: PASS (T)\n"
+        "  words: 15\n"
+        "  layer_lengths: [110, 474]\n"
+        "  group_order: 2880\n"
+        "  orbit_sizes: [1, 4, 10]\n"
+    ), (
+        '{"claim": "theorem3", "params": {"layers": 2, "theta": 1}, "passed": true, '
+        '"witnesses": [], "details": {"words": 15, "layer_lengths": [110, 474], '
+        '"group_order": "2880", "orbit_sizes": [1, 4, 10]}, "elapsed_seconds": T}\n'
+    )),
+    "theorem4": (0, (
+        "claim: theorem4\n"
+        "params: k=2 depth=1 theta=1\n"
+        "result: PASS (T)\n"
+        "  words: 5\n"
+        "  measured_layer_lengths: [20]\n"
+        "  closed_form_layer_lengths: [24]\n"
+        "  closed_form_matches: False\n"
+        "  layer1_group_order: 8\n"
+        "  matched_reading: [proof, statement]\n"
+        "  group_order: 8\n"
+    ), (
+        '{"claim": "theorem4", "params": {"k": 2, "depth": 1, "theta": 1}, "passed": true, '
+        '"witnesses": [], "details": {"words": 5, "measured_layer_lengths": [20], '
+        '"closed_form_layer_lengths": [24], "closed_form_matches": false, '
+        '"layer1_group_order": "8", "matched_reading": ["proof", "statement"], '
+        '"group_order": "8"}, "elapsed_seconds": T}\n'
+    )),
+    "theorem5": (0, (
+        "claim: theorem5\n"
+        "params: depth=1 theta=1\n"
+        "result: PASS (T)\n"
+        "  words: 16\n"
+        "  block_lengths: [96, 144]\n"
+        "  group_order: 124416\n"
+        "  orbit_sizes: [4, 6, 6]\n"
+    ), (
+        '{"claim": "theorem5", "params": {"depth": 1, "theta": 1}, "passed": true, '
+        '"witnesses": [], "details": {"words": 16, "block_lengths": [96, 144], '
+        '"group_order": "124416", "orbit_sizes": [4, 6, 6]}, "elapsed_seconds": T}\n'
+    )),
+    "lemma5": (1, (
+        "claim: lemma5\n"
+        "params: base_words=2 depth=2 theta=1\n"
+        "result: FAIL (T)\n"
+        "  words: 6\n"
+        "  base_group_order: 2\n"
+        "  group_order: 16\n"
+        "witnesses (1 shown):\n"
+        "  - group order 16, wanted 8 (ratio 2)\n"
+    ), (
+        '{"claim": "lemma5", "params": {"base_words": 2, "depth": 2, "theta": 1}, '
+        '"passed": false, "witnesses": ["group order 16, wanted 8 (ratio 2)"], '
+        '"details": {"words": 6, "base_group_order": "2", "group_order": "16"}, '
+        '"elapsed_seconds": T}\n'
+    )),
+    "theorem6": (0, (
+        "claim: theorem6\n"
+        "params: layers=3 theta=1\n"
+        "result: PASS (T)\n"
+        "  words: 12\n"
+        "  group_order: 34560\n"
+        "  orbit_sizes: [2, 4, 6]\n"
+    ), (
+        '{"claim": "theorem6", "params": {"layers": 3, "theta": 1}, "passed": true, '
+        '"witnesses": [], "details": {"words": 12, "group_order": "34560", '
+        '"orbit_sizes": [2, 4, 6]}, "elapsed_seconds": T}\n'
+    )),
+}
+
+
+def test_construction_reports_pinned(capsys):
+    def masked(*argv):
+        code, out, err = run(capsys, "verify", *argv)
+        out = re.sub(r"\(\d+\.\d\ds\)", "(T)", out)
+        return code, re.sub(r'"elapsed_seconds": [0-9.]+', '"elapsed_seconds": T', out), err
+
+    for claim, (code, text, js) in PINNED_REPORTS.items():
+        assert masked(claim) == (code, text, "")
+        assert masked(claim, "--json") == (code, js, "")
+
+
 def test_isom_command(tmp_path, capsys):
     lang_file = tmp_path / "u.lang"
     assert run(capsys, "construct", "unary", "--lengths", "1", "3", "5",
@@ -239,6 +340,23 @@ def test_verify_exit_codes(tmp_path, capsys):
 
     code, _, err = run(capsys, "verify", "theorem2", "--theta", "1/0")
     assert code == 2 and "malformed rational" in err
+
+    # count flags out of range are usage errors naming the flag
+    for argv, message in (
+        (("verify", "metric", "--samples", "-1"), "--samples must be at least 0, got -1"),
+        (("verify", "metric", "--max-len", "-1"), "--max-len must be at least 0, got -1"),
+        (("verify", "lemma3", "--max-len", "0"), "--max-len must be at least 1, got 0"),
+        (("verify", "prop3", "--random", "-1"), "--random must be at least 0, got -1"),
+        (("verify", "prop3", "--max-size", "0"), "--max-size must be between 1 and 40, got 0"),
+        (("verify", "prop3", "--max-size", "50"), "--max-size must be between 1 and 40, got 50"),
+        (("verify", "theorem6", "--layers", "0"), "--layers must be at least 1, got 0"),
+        (("construct", "theorem6", "--layers", "0"), "--layers must be at least 1, got 0"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    # lemma3 reads --max-len, with a default of its own
+    code, out, _ = run(capsys, "verify", "lemma3", "--samples", "20", "--max-len", "3", "--json")
+    assert code == 0 and json.loads(out)["params"]["max_len"] == 3
 
 
 def test_verify_json_output(capsys):

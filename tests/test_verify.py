@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -94,6 +95,13 @@ def test_theorem3_checker():
     assert report.passed
     assert report.details["group_order"] == "24"
     assert report.details["orbit_sizes"] == [1, 4]
+    # Frucht's graph has a trivial automorphism group, so its layer is a row
+    # of fixed points rather than one orbit of 12
+    report = check_theorem3([catalog_graph("k4"), catalog_graph("frucht")])
+    assert report.passed, report.witnesses
+    assert report.details["group_order"] == "24"
+    assert report.details["orbit_sizes"] == [1] * 13 + [4]
+    assert check_theorem3([catalog_graph("frucht")], 1).passed
 
 
 def test_theorem4_checker_records_reading():
@@ -109,6 +117,47 @@ def test_theorem5_checker():
     report = check_theorem5(catalog_graph("k4"), catalog_graph("k33"), depth=1)
     assert report.passed
     assert report.details["group_order"] == str(24 * 72 * 72)
+    report = check_theorem5(catalog_graph("k4"), catalog_graph("frucht"), depth=1)
+    assert report.passed, report.witnesses
+    assert report.details["group_order"] == "24"
+    assert report.details["orbit_sizes"] == [1] * 24 + [4]
+
+
+def _plant(monkeypatch, pair):
+    """Make ``verify.distance_matrix`` add 1 to the entry at ``pair``."""
+    real = verify.distance_matrix
+
+    def planted(words, w):
+        matrix = real(words, w)
+        rows = [list(row) for row in matrix.rows]
+        a, b = pair
+        rows[a][b] = rows[b][a] = rows[a][b] + matrix.den
+        return dataclasses.replace(matrix, rows=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(verify, "distance_matrix", planted)
+
+
+@pytest.mark.parametrize("check, pair", [
+    # theorem5 k4 + k33, depth 1: words 0-3 are the first block, 4-9 and
+    # 10-15 the two star layers
+    (lambda: check_theorem5(catalog_graph("k4"), catalog_graph("k33")), (0, 1)),
+    (lambda: check_theorem5(catalog_graph("k4"), catalog_graph("k33")), (2, 12)),
+    # theorem4 k=2, depth 2: word 0 is empty, 1-4 layer 1, 5-20 layer 2
+    (lambda: check_theorem4(k=2, depth=2), (6, 12)),
+], ids=["theorem5-first-block", "theorem5-block-to-star", "theorem4-layer-2"])
+def test_planted_entry_fault_gives_one_witness(monkeypatch, check, pair):
+    _plant(monkeypatch, pair)
+    report = check()
+    assert not report.passed
+    entries = [w for w in report.witnesses if w.startswith("lev(")]
+    assert len(entries) == 1 and entries[0].startswith(f"lev(#{pair[0]}, #{pair[1]}) = ")
+
+
+def test_layer_separation_checked_for_lemma5():
+    # at theta = 2 the base pair 00/11 is at distance 4, as far apart as the
+    # two nearest layers
+    report = check_lemma5(depth=1, theta=2)
+    assert "layer separation fails: max within 4 >= min cross 4" in report.witnesses
 
 
 def test_lemma5_checker_reports_truncation_reflection():
@@ -147,6 +196,14 @@ def test_report_json_shape():
         return True
 
     assert no_floats(parsed["params"]) and no_floats(parsed["details"])
+
+
+def test_report_header_counts_only_witness_lines():
+    report = check_theorem6(layers=3, theta=2)
+    assert len(report.witnesses) == 13 and report.witnesses[-1] == "... and 10 more"
+    text = report.render()
+    assert "witnesses (12 shown):" in text
+    assert text.endswith("  - ... and 10 more")
 
 
 def test_report_render_mentions_parameters():
