@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import verify as claims
 from .constructs import (
-    catalog,
     catalog_graph,
     encode_cubic_graph,
     lemma5_language,
@@ -75,10 +74,10 @@ def _resolve_graph(token: str):
     path = Path(token)
     if path.exists():
         return load_graph(path)
-    names = {entry.name for entry in catalog()}
-    if token.lower() in names:
+    try:
         return catalog_graph(token)
-    raise ValueError(f"no such graph file or catalog name: {token!r}")
+    except ValueError:
+        raise ValueError(f"no such graph file or catalog name: {token!r}") from None
 
 
 def _group_json(group) -> dict:
@@ -135,10 +134,6 @@ def _cmd_growth(args) -> int:
     return EXIT_OK
 
 
-def _opt(value, default):
-    return default if value is None else value
-
-
 def _need(args, flag: str):
     """The value of ``--flag``, which the chosen family or claim requires."""
     value = getattr(args, flag)
@@ -151,16 +146,27 @@ def _need(args, flag: str):
 def _count(args, dest: str, default=None, least=0, greatest=None) -> int:
     """The value of the count flag ``--dest`` (``default`` when not given),
     which must lie between ``least`` and ``greatest``."""
-    value = _opt(getattr(args, dest), default)
+    value = getattr(args, dest)
+    if value is None:
+        value = default
     if value < least or greatest is not None and value > greatest:
         bound = f"at least {least}" if greatest is None else f"between {least} and {greatest}"
         raise ValueError(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
     return value
 
 
-def _graphs_and_depth(names, depth):
+def _depth(args, default=1) -> int:
+    return _count(args, "depth", default, least=1)
+
+
+def _graphs_and_depth(args, names):
     graphs = [_resolve_graph(t) for t in names]
-    return graphs, _opt(depth, len(graphs))
+    return graphs, _depth(args, len(graphs))
+
+
+def _k(args) -> int:
+    """The alphabet size of theorem4, which builds alphabets of 2 to 4 letters."""
+    return _count(args, "k", least=2, greatest=4)
 
 
 def _graph_pair(args, names):
@@ -174,14 +180,13 @@ def _graph_pair(args, names):
 _FAMILIES = {
     "lemma4": lambda a: encode_cubic_graph(_resolve_graph(_need(a, "graph"))),
     "theorem2": lambda a: theorem2_language(_resolve_graph(_need(a, "graph"))),
-    "theorem3": lambda a: theorem3_language(*_graphs_and_depth(_need(a, "graphs"), a.depth)),
-    "theorem4": lambda a: theorem4_language(a.k, _opt(a.depth, 1)),
-    "theorem5": lambda a: theorem5_language(*_graph_pair(a, _need(a, "graphs")),
-                                            _opt(a.depth, 1)),
-    "lemma5": lambda a: lemma5_language(load_language(_need(a, "lang")), _opt(a.depth, 1)),
+    "theorem3": lambda a: theorem3_language(*_graphs_and_depth(a, _need(a, "graphs"))),
+    "theorem4": lambda a: theorem4_language(_k(a), _depth(a)),
+    "theorem5": lambda a: theorem5_language(*_graph_pair(a, _need(a, "graphs")), _depth(a)),
+    "lemma5": lambda a: lemma5_language(load_language(_need(a, "lang")), _depth(a)),
     "theorem6": lambda a: theorem6_language(_count(a, "layers", least=1)),
     "unary": lambda a: unary_language(_need(a, "lengths")),
-    "prop4": lambda a: prop4_language(a.max),
+    "prop4": lambda a: prop4_language(_count(a, "max", least=1)),
 }
 
 # claim -> checker(args, gamma, theta) returning a VerificationReport, with
@@ -196,7 +201,7 @@ _CLAIMS = {
     "prop3": lambda a, gamma, theta: claims.check_prop3(
         _count(a, "random"), _count(a, "max_size", least=1, greatest=claims.PROP3_LENGTHS),
         a.seed),
-    "prop4": lambda a, gamma, theta: claims.check_prop4(a.max),
+    "prop4": lambda a, gamma, theta: claims.check_prop4(_count(a, "max", least=1)),
     "theorem1": lambda a, gamma, theta: claims.check_theorem1(
         load_language(_need(a, "lang")), gamma, theta),
     "lemma3": lambda a, gamma, theta: claims.check_lemma3(
@@ -204,12 +209,12 @@ _CLAIMS = {
     "lemma4": lambda a, gamma, theta: claims.check_lemma4(a.graph),
     "theorem2": lambda a, gamma, theta: claims.check_theorem2(a.graph or "k4", theta),
     "theorem3": lambda a, gamma, theta: claims.check_theorem3(
-        *_graphs_and_depth(a.graphs or ["k4", "petersen"], a.depth), theta),
-    "theorem4": lambda a, gamma, theta: claims.check_theorem4(a.k, _opt(a.depth, 1), theta),
+        *_graphs_and_depth(a, a.graphs or ["k4", "petersen"]), theta),
+    "theorem4": lambda a, gamma, theta: claims.check_theorem4(_k(a), _depth(a), theta),
     "theorem5": lambda a, gamma, theta: claims.check_theorem5(
-        *_graph_pair(a, a.graphs or ["k4", "k33"]), _opt(a.depth, 1), theta),
+        *_graph_pair(a, a.graphs or ["k4", "k33"]), _depth(a), theta),
     "lemma5": lambda a, gamma, theta: claims.check_lemma5(
-        load_language(a.lang) if a.lang else None, _opt(a.depth, 2), theta),
+        load_language(a.lang) if a.lang else None, _depth(a, 2), theta),
     "theorem6": lambda a, gamma, theta: claims.check_theorem6(
         _count(a, "layers", least=1), theta),
 }
@@ -227,10 +232,21 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+# weight flag -> the claims that read it; the others take it only at its default 1
+_WEIGHT_READERS = {
+    "gamma": {"metric", "bounds", "theorem1"},
+    "theta": {"metric", "bounds", "theorem1", "lemma3", "theorem2", "theorem3", "theorem4",
+              "theorem5", "lemma5", "theorem6"},
+}
+
+
 def _cmd_verify(args) -> int:
     theta = _parse_rat(args.theta)
-    gamma = _parse_rat(args.gamma)
-    report = _CLAIMS[args.claim](args, gamma, theta)
+    w = Weights(_parse_rat(args.gamma), theta)
+    for flag, value in (("gamma", w.gamma), ("theta", w.theta)):
+        if value != 1 and args.claim not in _WEIGHT_READERS[flag]:
+            raise ValueError(f"verify {args.claim} does not read --{flag}, got {value}")
+    report = _CLAIMS[args.claim](args, w.gamma, w.theta)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
@@ -299,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=12, dest="max_size")
     p.add_argument("--max", type=int, default=6, help="largest run length (prop4)")
     p.add_argument("--lang", help="language file (theorem1, lemma5)")
-    p.add_argument("--graph", help="graph file or catalog name")
+    p.add_argument("--graph", help="catalog name (k4, k33, petersen, frucht; theorem2, lemma4)")
     p.add_argument("--graphs", nargs="+", help="graph files or catalog names")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--layers", type=int, default=3)

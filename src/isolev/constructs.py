@@ -8,6 +8,7 @@ layer depth, and all group-theoretic claims are made for the truncation only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -161,8 +162,9 @@ class GraphCatalogEntry:
 _CATALOG_NAMES = (("k4", 24), ("k33", 72), ("petersen", 120), ("frucht", 1))
 
 
+@cache
 def catalog() -> tuple[GraphCatalogEntry, ...]:
-    """Bundled cubic graphs with known automorphism group orders."""
+    """Bundled cubic graphs with known automorphism group orders, read once."""
     entries = []
     for name, order in _CATALOG_NAMES:
         text = resources.files("isolev").joinpath(f"data/{name}.dimacs").read_text("utf-8")
@@ -170,12 +172,17 @@ def catalog() -> tuple[GraphCatalogEntry, ...]:
     return tuple(entries)
 
 
-def catalog_graph(name: str) -> SimpleGraph:
+def catalog_entry(name: str) -> GraphCatalogEntry:
+    """The catalog entry called ``name``, in any letter case."""
     wanted = name.lower()
     for entry in catalog():
         if entry.name == wanted:
-            return entry.graph
-    raise ValueError(f"unknown catalog graph {name!r}")
+            return entry
+    raise ValueError(f"unknown cubic catalog graph {name!r}")
+
+
+def catalog_graph(name: str) -> SimpleGraph:
+    return catalog_entry(name).graph
 
 
 # Pattern used to stretch incidence words: 7 > 6, the largest Hamming

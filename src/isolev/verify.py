@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .constructs import (
     SimpleGraph,
     catalog,
+    catalog_entry,
     encode_cubic_graph,
     lemma5_language,
     prop4_language,
@@ -104,47 +105,51 @@ def jsonable(value):
 
 
 class _Witnesses:
-    """Bounded witness list that keeps counting after the cap."""
+    """Bounded witness list that keeps counting after the cap.  It also times
+    the check, from its creation to its report."""
 
     def __init__(self, cap: int = _WITNESS_CAP):
         self.cap = cap
         self.items: list[str] = []
         self.count = 0
+        self.t0 = time.perf_counter()
 
     def add(self, text: str) -> None:
         self.count += 1
         if len(self.items) < self.cap:
             self.items.append(text)
 
-    def close(self) -> list[str]:
+    def report(self, claim, params, details) -> VerificationReport:
+        """Close the list with an ``... and N more`` line and report."""
         if self.count > len(self.items):
             self.items.append(f"... and {self.count - len(self.items)} more")
-        return self.items
-
-
-def _report(claim, params, wit: _Witnesses, details, t0) -> VerificationReport:
-    return VerificationReport(
-        claim=claim,
-        params=params,
-        passed=wit.count == 0,
-        witnesses=wit.close(),
-        details=details,
-        elapsed=time.perf_counter() - t0,
-    )
+        return VerificationReport(claim, params, self.count == 0, self.items, details,
+                                  time.perf_counter() - self.t0)
 
 
 def _random_word(rng: random.Random, max_len: int, alphabet: str = "01") -> str:
     return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
 
 
+def _sampled(claim, params, samples, seed, sample, details=None) -> VerificationReport:
+    """Run ``sample(rng, wit, i)`` for i < ``samples`` on one rng seeded with
+    ``seed``, then report; ``seed`` is the last param, and the details default
+    to the sample count."""
+    wit = _Witnesses()
+    rng = random.Random(seed)
+    for i in range(samples):
+        sample(rng, wit, i)
+    if details is None:
+        details = {"checked_samples": samples}
+    return wit.report(claim, {**params, "seed": seed}, details)
+
+
 def check_metric(gamma=1, theta=1, samples=1000, max_len=12, seed=DEFAULT_SEED):
     """Identity of indiscernibles, symmetry, triangle inequality, and the
     context/reversal invariances, on seeded random words."""
-    t0 = time.perf_counter()
     w = Weights(gamma, theta)
-    rng = random.Random(seed)
-    wit = _Witnesses()
-    for _ in range(samples):
+
+    def sample(rng, wit, _):
         u = _random_word(rng, max_len)
         v = _random_word(rng, max_len)
         x = _random_word(rng, max_len)
@@ -165,23 +170,17 @@ def check_metric(gamma=1, theta=1, samples=1000, max_len=12, seed=DEFAULT_SEED):
             wit.add(f"context invariance fails on ({p!r},{u!r},{v!r},{q!r})")
         if lev(u[::-1], v[::-1], w) != uv:
             wit.add(f"reversal invariance fails on ({u!r},{v!r})")
-    return _report(
-        "metric",
-        {"gamma": w.gamma, "theta": w.theta, "samples": samples, "max_len": max_len, "seed": seed},
-        wit,
-        {"checked_samples": samples},
-        t0,
-    )
+
+    return _sampled("metric", {"gamma": w.gamma, "theta": w.theta, "samples": samples,
+                               "max_len": max_len}, samples, seed, sample)
 
 
 def check_bounds(gamma=1, theta=1, samples=1000, max_len=12, seed=DEFAULT_SEED):
     """Upper bound, indel lower bound, and the exact characterisation of when
     the lower bound is attained (shorter word embeds as a subsequence)."""
-    t0 = time.perf_counter()
     w = Weights(gamma, theta)
-    rng = random.Random(seed)
-    wit = _Witnesses()
-    for _ in range(samples):
+
+    def sample(rng, wit, _):
         u = _random_word(rng, max_len)
         v = _random_word(rng, max_len)
         d = lev(u, v, w)
@@ -198,23 +197,17 @@ def check_bounds(gamma=1, theta=1, samples=1000, max_len=12, seed=DEFAULT_SEED):
                 f"equality characterisation fails on ({u!r},{v!r}): "
                 f"lev={d}, bound={lower}, subsequence={is_subsequence(shorter, longer)}"
             )
-    return _report(
-        "bounds",
-        {"gamma": w.gamma, "theta": w.theta, "samples": samples, "max_len": max_len, "seed": seed},
-        wit,
-        {"checked_samples": samples},
-        t0,
-    )
+
+    return _sampled("bounds", {"gamma": w.gamma, "theta": w.theta, "samples": samples,
+                               "max_len": max_len}, samples, seed, sample)
 
 
 def check_homothety(samples=500, max_len=10, seed=DEFAULT_SEED):
     """Rescaling to unit indel weight multiplies every distance by the scale
     factor exactly, including weights where substitution exceeds two indels."""
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    wit = _Witnesses()
-    over_two = 0
-    for i in range(samples):
+    details = {"cases_with_ratio_above_two": 0}
+
+    def sample(rng, wit, i):
         gamma = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         if i % 3 == 0:
             theta = gamma * Fraction(rng.randint(13, 40), 6)  # ratio above 2
@@ -223,7 +216,7 @@ def check_homothety(samples=500, max_len=10, seed=DEFAULT_SEED):
         w = Weights(gamma, theta)
         nw = normalize(w)
         if theta / gamma > 2:
-            over_two += 1
+            details["cases_with_ratio_above_two"] += 1
         u = _random_word(rng, max_len)
         v = _random_word(rng, max_len)
         lhs = lev(u, v, w)
@@ -233,21 +226,16 @@ def check_homothety(samples=500, max_len=10, seed=DEFAULT_SEED):
                 f"lev({u!r},{v!r},{gamma},{theta}) = {lhs} != "
                 f"{nw.scale} * lev_(1,{nw.theta_prime}) = {rhs}"
             )
-    return _report(
-        "homothety",
-        {"samples": samples, "max_len": max_len, "seed": seed},
-        wit,
-        {"cases_with_ratio_above_two": over_two},
-        t0,
-    )
+
+    return _sampled("homothety", {"samples": samples, "max_len": max_len}, samples, seed,
+                    sample, details)
 
 
 def check_prop3(count=20, max_size=12, seed=DEFAULT_SEED):
     """One-symbol languages have isometry group of order 1 or 2; arithmetic
     progressions of two or more lengths realise exactly 2."""
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
     wit = _Witnesses()
+    rng = random.Random(seed)
     orders = []
     for _ in range(count):
         size = rng.randint(1, max_size)
@@ -265,24 +253,18 @@ def check_prop3(count=20, max_size=12, seed=DEFAULT_SEED):
         order = isometries(distance_matrix(lang)).order()
         if order != 2:
             wit.add(f"arithmetic progression {lengths} gives order {order}, wanted 2")
-    return _report(
-        "prop3",
-        {"count": count, "max_size": max_size, "seed": seed},
-        wit,
-        {"random_orders": orders},
-        t0,
-    )
+    return wit.report("prop3", {"count": count, "max_size": max_size, "seed": seed},
+                      {"random_orders": orders})
 
 
 def check_prop4(n_max=6):
     """At unit indel and double substitution weight, the runs language is the
     integer interval [-n, n] with the line metric; the truncation keeps just
     the reflection."""
-    t0 = time.perf_counter()
+    wit = _Witnesses()
     lang = prop4_language(n_max)
     w = Weights(1, 2)
     matrix = distance_matrix(lang, w)
-    wit = _Witnesses()
 
     def line_pos(word: str) -> int:
         if not word:
@@ -299,13 +281,8 @@ def check_prop4(n_max=6):
     group = isometries(matrix)
     if group.order() != 2:
         wit.add(f"truncation group order {group.order()}, wanted 2")
-    return _report(
-        "prop4",
-        {"n_max": n_max},
-        wit,
-        {"words": len(lang), "group_order": str(group.order())},
-        t0,
-    )
+    return wit.report("prop4", {"n_max": n_max},
+                      {"words": len(lang), "group_order": str(group.order())})
 
 
 def check_theorem1(lang: Language, gamma=1, theta=1):
@@ -314,7 +291,7 @@ def check_theorem1(lang: Language, gamma=1, theta=1):
     Raises HypothesisViolated when substitution is not strictly cheaper than
     two indels (the excluded regime).
     """
-    t0 = time.perf_counter()
+    wit = _Witnesses()
     w = Weights(gamma, theta)
     bound_check = normalize(w)
     if bound_check.theta_prime >= 2:
@@ -324,20 +301,17 @@ def check_theorem1(lang: Language, gamma=1, theta=1):
     matrix = distance_matrix(lang, w)
     group = isometries(matrix)
     report = theorem1_audit(lang, group, w)
-    wit = _Witnesses()
     for shortest, longest, spread in report.witnesses:
         wit.add(f"orbit spread {spread} > bound {report.bound}: {shortest!r} ~ {longest!r}")
-    return _report(
+    return wit.report(
         "theorem1",
         {"gamma": w.gamma, "theta": w.theta, "words": len(lang)},
-        wit,
         {
             "bound": report.bound,
             "theta_prime": bound_check.theta_prime,
             "group_order": str(group.order()),
             "orbit_sizes": list(group.orbits().sizes()),
         },
-        t0,
     )
 
 
@@ -345,11 +319,9 @@ def check_lemma3(samples=200, theta=1, max_len=5, seed=DEFAULT_SEED):
     """Stretching both words with an a^k b a^k pattern, k above their Hamming
     distance, is claimed to make the edit distance equal that Hamming
     distance; checked literally at the given substitution weight."""
-    t0 = time.perf_counter()
     th = Weights(1, theta)
-    rng = random.Random(seed)
-    wit = _Witnesses()
-    for _ in range(samples):
+
+    def sample(rng, wit, _):
         length = rng.randint(1, max_len)
         w1 = "".join(rng.choice("01") for _ in range(length))
         w2 = "".join(rng.choice("01") for _ in range(length))
@@ -364,34 +336,17 @@ def check_lemma3(samples=200, theta=1, max_len=5, seed=DEFAULT_SEED):
                 f"w1={w1!r} w2={w2!r} k={k} theta={th.theta}: "
                 f"stretched distance {got}, hamming {h}"
             )
-    return _report(
-        "lemma3",
-        {"samples": samples, "theta": th.theta, "max_len": max_len, "seed": seed},
-        wit,
-        {"checked_samples": samples},
-        t0,
-    )
 
-
-def _cubic_entries(graph_name: Optional[str]):
-    entries = [e for e in catalog() if e.graph.is_cubic()]
-    if graph_name is None:
-        return entries
-    wanted = graph_name.lower()
-    chosen = [e for e in entries if e.name == wanted]
-    if not chosen:
-        raise ValueError(f"unknown cubic catalog graph {graph_name!r}")
-    return chosen
+    return _sampled("lemma3", {"samples": samples, "theta": th.theta, "max_len": max_len},
+                    samples, seed, sample)
 
 
 def check_lemma4(graph_name: Optional[str] = None):
     """Incidence encodings of cubic graphs put adjacent vertices at Hamming
     distance 4 and non-adjacent ones at 6."""
-    t0 = time.perf_counter()
     wit = _Witnesses()
-    names = []
-    for entry in _cubic_entries(graph_name):
-        names.append(entry.name)
+    entries = catalog() if graph_name is None else [catalog_entry(graph_name)]
+    for entry in entries:
         g = entry.graph
         enc = encode_cubic_graph(g)
         for i in range(g.n):
@@ -402,7 +357,7 @@ def check_lemma4(graph_name: Optional[str] = None):
                 got = hamming(enc[i], enc[j])
                 if got != expect:
                     wit.add(f"{entry.name}: h(w{i}, w{j}) = {got}, wanted {expect}")
-    return _report("lemma4", {"graphs": names}, wit, {}, t0)
+    return wit.report("lemma4", {"graphs": [entry.name for entry in entries]}, {})
 
 
 def _adjacency(graph: SimpleGraph):
@@ -410,9 +365,10 @@ def _adjacency(graph: SimpleGraph):
     return lambda i, j: 4 if graph.has_edge(i, j) else 6
 
 
-def _check_layered(claim, params, t0, lang: Language, th: Weights, within,
+def _check_layered(claim, params, wit: _Witnesses, lang: Language, theta, within,
                    extra, order=None, orbits=None) -> VerificationReport:
-    """Check a layered construction against the rule all its claims share.
+    """Check a layered construction at weights (1, ``theta``) against the rule
+    all its claims share; ``theta`` is recorded as the last param.
 
     The words are grouped into layers by length.  Every pair a < b is
     checked: within layer L its distance is ``within[L](i, j)`` at the two
@@ -422,11 +378,11 @@ def _check_layered(claim, params, t0, lang: Language, th: Weights, within,
     ``order`` and ``orbits`` when given, and ``extra(matrix, layers, group,
     wit, details)`` adds the claim's own checks and details.
     """
+    th = Weights(1, theta)
     matrix = distance_matrix(lang, th)
     lengths = sorted(set(lang.lengths()))
     layers = [[a for a, word in enumerate(lang) if len(word) == n] for n in lengths]
     place = {a: (la, i) for la, layer in enumerate(layers) for i, a in enumerate(layer)}
-    wit = _Witnesses()
     within_max, cross_min = Rat(0), None
     for a in range(len(lang)):
         la, i = place[a]
@@ -454,17 +410,16 @@ def _check_layered(claim, params, t0, lang: Language, th: Weights, within,
     details["group_order"] = str(group.order())
     if orbits is not None:
         details["orbit_sizes"] = sizes
-    return _report(claim, params, wit, details, t0)
+    return wit.report(claim, {**params, "theta": th.theta}, details)
 
 
 def check_theorem2(graph_name: str = "k4", theta=1):
     """The stretched incidence language of a cubic graph has distances 4/6
     mirroring adjacency and its isometry group is the automorphism group of
     the graph, acting by the same vertex indices."""
-    t0 = time.perf_counter()
-    entry = _cubic_entries(graph_name)[0]
+    wit = _Witnesses()
+    entry = catalog_entry(graph_name)
     g = entry.graph
-    th = Weights(1, theta)
     lang = theorem2_language(g)
 
     def extra(matrix, layers, group, wit, details):
@@ -480,7 +435,7 @@ def check_theorem2(graph_name: str = "k4", theta=1):
             wit.add("isometry group differs from transported automorphism group")
         details["word_length"] = 16 * g.edge_count
 
-    return _check_layered("theorem2", {"graph": entry.name, "theta": th.theta}, t0, lang, th,
+    return _check_layered("theorem2", {"graph": entry.name}, wit, lang, theta,
                           [_adjacency(g)], extra)
 
 
@@ -489,10 +444,9 @@ def check_theorem3(graphs: Sequence[SimpleGraph], depth: Optional[int] = None, t
     length difference, the group is the direct product of the per-graph
     automorphism groups (with their orbits), and growth stays below
     1 + n/24."""
-    t0 = time.perf_counter()
+    wit = _Witnesses()
     if depth is None:
         depth = len(graphs)
-    th = Weights(1, theta)
     lang = theorem3_language(list(graphs), depth)
     auts = [graph_automorphisms(g) for g in graphs[:depth]]
 
@@ -505,7 +459,7 @@ def check_theorem3(graphs: Sequence[SimpleGraph], depth: Optional[int] = None, t
 
     # layer 0 is the empty word alone, so its rule is never asked for
     return _check_layered(
-        "theorem3", {"layers": depth, "theta": th.theta}, t0, lang, th,
+        "theorem3", {"layers": depth}, wit, lang, theta,
         [None] + [_adjacency(g) for g in graphs[:depth]], extra,
         order=prod(a.order() for a in auts),
         orbits=[1] + [size for a in auts for size in a.orbits().sizes()],
@@ -517,8 +471,7 @@ def check_theorem4(k=2, depth=1, theta=1):
     distances of the underlying words, and the first layer's group order is
     compared against the two candidate product formulas; the check demands
     that one reading matches (they coincide for k=2)."""
-    t0 = time.perf_counter()
-    th = Weights(1, theta)
+    wit = _Witnesses()
     lang = theorem4_language(k, depth)
     within = [None]  # layer 0 is the empty word alone
     for level in range(1, depth + 1):
@@ -547,8 +500,8 @@ def check_theorem4(k=2, depth=1, theta=1):
                        closed_form_matches=measured == closed_form,
                        layer1_group_order=str(layer_orders[0]), matched_reading=matched)
 
-    return _check_layered("theorem4", {"k": k, "depth": depth, "theta": th.theta}, t0, lang,
-                          th, within, extra)
+    return _check_layered("theorem4", {"k": k, "depth": depth}, wit, lang, theta, within,
+                          extra)
 
 
 def check_theorem5(g1: SimpleGraph, g2: SimpleGraph, depth=1, theta=1):
@@ -556,8 +509,7 @@ def check_theorem5(g1: SimpleGraph, g2: SimpleGraph, depth=1, theta=1):
     are metrically parallel (cross distance 2m|p-q|), and the group is the
     product of the first block's group with depth+1 copies of the second's,
     with their orbits."""
-    t0 = time.perf_counter()
-    th = Weights(1, theta)
+    wit = _Witnesses()
     lang = theorem5_language(g1, g2, depth)
     aut1, aut2 = graph_automorphisms(g1), graph_automorphisms(g2)
 
@@ -565,7 +517,7 @@ def check_theorem5(g1: SimpleGraph, g2: SimpleGraph, depth=1, theta=1):
         details["block_lengths"] = [16 * g1.edge_count, 16 * g2.edge_count]
 
     return _check_layered(
-        "theorem5", {"depth": depth, "theta": th.theta}, t0, lang, th,
+        "theorem5", {"depth": depth}, wit, lang, theta,
         [_adjacency(g1)] + [_adjacency(g2)] * (depth + 1), extra,
         order=aut1.order() * aut2.order() ** (depth + 1),
         orbits=list(aut1.orbits().sizes()) + list(aut2.orbits().sizes()) * (depth + 1),
@@ -577,12 +529,11 @@ def check_lemma5(base: Optional[Language] = None, depth=2, theta=1):
     the base language and cross-layer distances are 2n|p-q|.  The order claim
     |Isom(base)|^(depth+1) is checked literally; the finite truncation also
     admits the layer-order reversal, which this check will report."""
-    t0 = time.perf_counter()
+    wit = _Witnesses()
     if base is None:
         base = Language(["00", "11"])
-    th = Weights(1, theta)
     lang = lemma5_language(base, depth)
-    base_matrix = distance_matrix(base, th)
+    base_matrix = distance_matrix(base, Weights(1, theta))
     size = len(base)
 
     def extra(matrix, layers, group, wit, details):
@@ -602,7 +553,7 @@ def check_lemma5(base: Optional[Language] = None, depth=2, theta=1):
         details["base_group_order"] = str(base_group.order())
 
     return _check_layered(
-        "lemma5", {"base_words": len(base), "depth": depth, "theta": th.theta}, t0, lang, th,
+        "lemma5", {"base_words": len(base), "depth": depth}, wit, lang, theta,
         [base_matrix.entry] * (depth + 1), extra,
     )
 
@@ -611,8 +562,7 @@ def check_theorem6(layers=3, theta=1):
     """Single-110-block language in 6-symbol layers: layer i holds 2i words,
     the claimed distance formula max(length gap, 2) is checked literally, and
     the group is the product of the full symmetric groups on the layers."""
-    t0 = time.perf_counter()
-    th = Weights(1, theta)
+    wit = _Witnesses()
     lang = theorem6_language(layers)
 
     def extra(matrix, by_layer, group, wit, details):
@@ -623,7 +573,7 @@ def check_theorem6(layers=3, theta=1):
                 wit.add(f"layer {i} length {len(lang[layer[0]])}, wanted {6 * i}")
 
     return _check_layered(
-        "theorem6", {"layers": layers, "theta": th.theta}, t0, lang, th,
+        "theorem6", {"layers": layers}, wit, lang, theta,
         [lambda i, j: 2] * layers, extra,
         order=prod(factorial(2 * i) for i in range(1, layers + 1)),
         orbits=[2 * i for i in range(1, layers + 1)],

@@ -216,15 +216,149 @@ PINNED_REPORTS = {
 }
 
 
-def test_construction_reports_pinned(capsys):
-    def masked(*argv):
-        code, out, err = run(capsys, "verify", *argv)
-        out = re.sub(r"\(\d+\.\d\ds\)", "(T)", out)
-        return code, re.sub(r'"elapsed_seconds": [0-9.]+', '"elapsed_seconds": T', out), err
+def masked(capsys, *argv):
+    """``run`` of ``verify argv`` with the elapsed time masked as T."""
+    code, out, err = run(capsys, "verify", *argv)
+    out = re.sub(r"\(\d+\.\d\ds\)", "(T)", out)
+    return code, re.sub(r'"elapsed_seconds": [0-9.]+', '"elapsed_seconds": T', out), err
 
+
+def test_construction_reports_pinned(capsys):
     for claim, (code, text, js) in PINNED_REPORTS.items():
-        assert masked(claim) == (code, text, "")
-        assert masked(claim, "--json") == (code, js, "")
+        assert masked(capsys, claim) == (code, text, "")
+        assert masked(capsys, claim, "--json") == (code, js, "")
+
+
+# Reports of the other eight claims at small sizes, fixed literally in the
+# same way: argv, exit code, text, JSON.  LANG stands for a four-word file.
+PINNED_CLAIM_REPORTS = {
+    "metric": (("metric", "--samples", "20"), 0, (
+        "claim: metric\n"
+        "params: gamma=1 theta=1 samples=20 max_len=12 seed=20240817\n"
+        "result: PASS (T)\n"
+        "  checked_samples: 20\n"
+    ), (
+        '{"claim": "metric", "params": {"gamma": 1, "theta": 1, "samples": 20, '
+        '"max_len": 12, "seed": 20240817}, "passed": true, "witnesses": [], '
+        '"details": {"checked_samples": 20}, "elapsed_seconds": T}\n'
+    )),
+    "bounds": (("bounds", "--samples", "20", "--gamma", "2", "--theta", "3"), 0, (
+        "claim: bounds\n"
+        "params: gamma=2 theta=3 samples=20 max_len=12 seed=20240817\n"
+        "result: PASS (T)\n"
+        "  checked_samples: 20\n"
+    ), (
+        '{"claim": "bounds", "params": {"gamma": 2, "theta": 3, "samples": 20, '
+        '"max_len": 12, "seed": 20240817}, "passed": true, "witnesses": [], '
+        '"details": {"checked_samples": 20}, "elapsed_seconds": T}\n'
+    )),
+    "homothety": (("homothety", "--samples", "20"), 0, (
+        "claim: homothety\n"
+        "params: samples=20 max_len=12 seed=20240817\n"
+        "result: PASS (T)\n"
+        "  cases_with_ratio_above_two: 7\n"
+    ), (
+        '{"claim": "homothety", "params": {"samples": 20, "max_len": 12, "seed": 20240817}, '
+        '"passed": true, "witnesses": [], "details": {"cases_with_ratio_above_two": 7}, '
+        '"elapsed_seconds": T}\n'
+    )),
+    "lemma3-pass": (("lemma3", "--samples", "20"), 0, (
+        "claim: lemma3\n"
+        "params: samples=20 theta=1 max_len=5 seed=20240817\n"
+        "result: PASS (T)\n"
+        "  checked_samples: 20\n"
+    ), (
+        '{"claim": "lemma3", "params": {"samples": 20, "theta": 1, "max_len": 5, '
+        '"seed": 20240817}, "passed": true, "witnesses": [], '
+        '"details": {"checked_samples": 20}, "elapsed_seconds": T}\n'
+    )),
+    "lemma3-fail": (("lemma3", "--samples", "20", "--theta", "3/2"), 1, (
+        "claim: lemma3\n"
+        "params: samples=20 theta=3/2 max_len=5 seed=20240817\n"
+        "result: FAIL (T)\n"
+        "  checked_samples: 20\n"
+        "witnesses (12 shown):\n"
+        "  - w1='101' w2='000' k=3 theta=3/2: stretched distance 3, hamming 2\n"
+        "  - w1='000' w2='001' k=2 theta=3/2: stretched distance 3/2, hamming 1\n"
+        "  - w1='1100' w2='0001' k=6 theta=3/2: stretched distance 9/2, hamming 3\n"
+        "  - w1='001' w2='010' k=5 theta=3/2: stretched distance 3, hamming 2\n"
+        "  - w1='11' w2='01' k=2 theta=3/2: stretched distance 3/2, hamming 1\n"
+        "  - w1='01111' w2='01110' k=2 theta=3/2: stretched distance 3/2, hamming 1\n"
+        "  - w1='0' w2='1' k=4 theta=3/2: stretched distance 3/2, hamming 1\n"
+        "  - w1='1010' w2='0101' k=5 theta=3/2: stretched distance 6, hamming 4\n"
+        "  - w1='01101' w2='11001' k=4 theta=3/2: stretched distance 3, hamming 2\n"
+        "  - w1='11' w2='01' k=4 theta=3/2: stretched distance 3/2, hamming 1\n"
+        "  - w1='11010' w2='00000' k=6 theta=3/2: stretched distance 9/2, hamming 3\n"
+        "  - w1='01101' w2='11001' k=3 theta=3/2: stretched distance 3, hamming 2\n"
+        "  - ... and 4 more\n"
+    ), (
+        '{"claim": "lemma3", "params": {"samples": 20, "theta": "3/2", "max_len": 5, '
+        '"seed": 20240817}, "passed": false, '
+        '"witnesses": ["w1=\'101\' w2=\'000\' k=3 theta=3/2: stretched distance 3, hamming 2", '
+        '"w1=\'000\' w2=\'001\' k=2 theta=3/2: stretched distance 3/2, hamming 1", '
+        '"w1=\'1100\' w2=\'0001\' k=6 theta=3/2: stretched distance 9/2, hamming 3", '
+        '"w1=\'001\' w2=\'010\' k=5 theta=3/2: stretched distance 3, hamming 2", '
+        '"w1=\'11\' w2=\'01\' k=2 theta=3/2: stretched distance 3/2, hamming 1", '
+        '"w1=\'01111\' w2=\'01110\' k=2 theta=3/2: stretched distance 3/2, hamming 1", '
+        '"w1=\'0\' w2=\'1\' k=4 theta=3/2: stretched distance 3/2, hamming 1", '
+        '"w1=\'1010\' w2=\'0101\' k=5 theta=3/2: stretched distance 6, hamming 4", '
+        '"w1=\'01101\' w2=\'11001\' k=4 theta=3/2: stretched distance 3, hamming 2", '
+        '"w1=\'11\' w2=\'01\' k=4 theta=3/2: stretched distance 3/2, hamming 1", '
+        '"w1=\'11010\' w2=\'00000\' k=6 theta=3/2: stretched distance 9/2, hamming 3", '
+        '"w1=\'01101\' w2=\'11001\' k=3 theta=3/2: stretched distance 3, hamming 2", '
+        '"... and 4 more"], "details": {"checked_samples": 20}, "elapsed_seconds": T}\n'
+    )),
+    "prop3": (("prop3", "--random", "4", "--max-size", "5"), 0, (
+        "claim: prop3\n"
+        "params: count=4 max_size=5 seed=20240817\n"
+        "result: PASS (T)\n"
+        "  random_orders: [1, 2, 1, 1]\n"
+    ), (
+        '{"claim": "prop3", "params": {"count": 4, "max_size": 5, "seed": 20240817}, '
+        '"passed": true, "witnesses": [], "details": {"random_orders": [1, 2, 1, 1]}, '
+        '"elapsed_seconds": T}\n'
+    )),
+    "prop4": (("prop4", "--max", "3"), 0, (
+        "claim: prop4\n"
+        "params: n_max=3\n"
+        "result: PASS (T)\n"
+        "  words: 7\n"
+        "  group_order: 2\n"
+    ), (
+        '{"claim": "prop4", "params": {"n_max": 3}, "passed": true, "witnesses": [], '
+        '"details": {"words": 7, "group_order": "2"}, "elapsed_seconds": T}\n'
+    )),
+    "lemma4": (("lemma4",), 0, (
+        "claim: lemma4\n"
+        "params: graphs=[k4, k33, petersen, frucht]\n"
+        "result: PASS (T)\n"
+    ), (
+        '{"claim": "lemma4", "params": {"graphs": ["k4", "k33", "petersen", "frucht"]}, '
+        '"passed": true, "witnesses": [], "details": {}, "elapsed_seconds": T}\n'
+    )),
+    "theorem1": (("theorem1", "--lang", "LANG"), 0, (
+        "claim: theorem1\n"
+        "params: gamma=1 theta=1 words=4\n"
+        "result: PASS (T)\n"
+        "  bound: 1\n"
+        "  theta_prime: 1\n"
+        "  group_order: 2\n"
+        "  orbit_sizes: [2, 1, 1]\n"
+    ), (
+        '{"claim": "theorem1", "params": {"gamma": 1, "theta": 1, "words": 4}, '
+        '"passed": true, "witnesses": [], "details": {"bound": 1, "theta_prime": 1, '
+        '"group_order": "2", "orbit_sizes": [2, 1, 1]}, "elapsed_seconds": T}\n'
+    )),
+}
+
+
+def test_claim_reports_pinned(tmp_path, capsys):
+    lang_file = tmp_path / "small.lang"
+    lang_file.write_text("0\n00\n000\n01\n")
+    for argv, code, text, js in PINNED_CLAIM_REPORTS.values():
+        argv = [str(lang_file) if a == "LANG" else a for a in argv]
+        assert masked(capsys, *argv) == (code, text, "")
+        assert masked(capsys, *argv, "--json") == (code, js, "")
 
 
 def test_isom_command(tmp_path, capsys):
@@ -351,8 +485,34 @@ def test_verify_exit_codes(tmp_path, capsys):
         (("verify", "prop3", "--max-size", "50"), "--max-size must be between 1 and 40, got 50"),
         (("verify", "theorem6", "--layers", "0"), "--layers must be at least 1, got 0"),
         (("construct", "theorem6", "--layers", "0"), "--layers must be at least 1, got 0"),
+        (("verify", "theorem3", "--depth", "0"), "--depth must be at least 1, got 0"),
+        (("verify", "lemma5", "--depth", "0"), "--depth must be at least 1, got 0"),
+        (("construct", "theorem4", "--depth", "0"), "--depth must be at least 1, got 0"),
+        (("construct", "theorem5", "--graphs", "k4", "k33", "--depth", "0"),
+         "--depth must be at least 1, got 0"),
+        (("verify", "prop4", "--max", "0"), "--max must be at least 1, got 0"),
+        (("construct", "prop4", "--max", "0"), "--max must be at least 1, got 0"),
+        (("verify", "theorem4", "--k", "5"), "--k must be between 2 and 4, got 5"),
+        (("construct", "theorem4", "--k", "1"), "--k must be between 2 and 4, got 1"),
+        # a claim takes a weight flag it does not read only at its default 1,
+        # and a non-positive weight is the first error reported
+        (("verify", "theorem2", "--gamma", "2", "--theta", "3"),
+         "verify theorem2 does not read --gamma, got 2"),
+        (("verify", "prop4", "--theta", "7"), "verify prop4 does not read --theta, got 7"),
+        (("verify", "homothety", "--gamma", "3"),
+         "verify homothety does not read --gamma, got 3"),
+        (("verify", "lemma3", "--gamma", "1/2"), "verify lemma3 does not read --gamma, got 1/2"),
+        (("verify", "lemma4", "--theta", "2"), "verify lemma4 does not read --theta, got 2"),
+        (("verify", "theorem4", "--theta", "-1", "--k", "5"),
+         "weights must be positive, got 1, -1"),
+        (("verify", "theorem6", "--theta", "0", "--layers", "0"),
+         "weights must be positive, got 1, 0"),
+        (("verify", "prop3", "--gamma", "0"), "weights must be positive, got 0, 1"),
     ):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    code, out, _ = run(capsys, "verify", "prop4", "--max", "2", "--gamma", "2/2",
+                       "--theta", "1")
+    assert code == 0 and "PASS" in out
 
     # lemma3 reads --max-len, with a default of its own
     code, out, _ = run(capsys, "verify", "lemma3", "--samples", "20", "--max-len", "3", "--json")

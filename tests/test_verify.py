@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,25 @@ def test_theorem6_checker_by_weight():
     bad = check_theorem6(layers=1, theta=2)
     assert not bad.passed
     assert bad.details["group_order"] == "2"  # group is still the full layer swap
+
+
+def test_elapsed_covers_the_checkers_work(monkeypatch):
+    real_lev, real_matrix = verify.lev, verify.distance_matrix
+
+    def slow_lev(*args):
+        time.sleep(0.01)
+        return real_lev(*args)
+
+    def slow_matrix(*args):
+        time.sleep(0.2)
+        return real_matrix(*args)
+
+    monkeypatch.setattr(verify, "lev", slow_lev)
+    monkeypatch.setattr(verify, "distance_matrix", slow_matrix)
+    # seven lev calls per sample
+    assert check_metric(samples=3).elapsed >= 21 * 0.01
+    # the base matrix, then the language's
+    assert check_lemma5(depth=1).elapsed >= 2 * 0.2
 
 
 def test_report_json_shape():
