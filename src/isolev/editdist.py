@@ -11,22 +11,21 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Union
-
-import numpy as np
 
 Rat = Fraction
 RatLike = Union[Rat, int, str]
 
 ORACLE_MAX_LEN = 7
 
-# Below this many table cells the numpy call overhead loses to the plain loop.
-_NUMPY_MIN_CELLS = 2048
-_INT64_SAFE = 2**62
+# Longest block 2g (indel cost over the weights' gcd) run on expanded bit
+# vectors; past it the row DP is faster on all but the longest words
+# (crossover table in CHANGES.md).
+_MAX_BLOCK = 16
 
 
 class InputTooLong(ValueError):
@@ -54,12 +53,17 @@ class Weights:
 
     gamma: Rat
     theta: Rat
+    # Integer costs (g, t) and the common denominator they were scaled by.
+    _scaled: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", as_rat(self.gamma))
-        object.__setattr__(self, "theta", as_rat(self.theta))
-        if self.gamma <= 0 or self.theta <= 0:
-            raise ValueError(f"weights must be positive, got {self.gamma}, {self.theta}")
+        gamma, theta = as_rat(self.gamma), as_rat(self.theta)
+        if gamma <= 0 or theta <= 0:
+            raise ValueError(f"weights must be positive, got {gamma}, {theta}")
+        den = math.lcm(gamma.denominator, theta.denominator)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "_scaled", (int(gamma * den), int(theta * den), den))
 
 
 DEFAULT_WEIGHTS = Weights(1, 1)
@@ -82,13 +86,9 @@ def normalize(w: Weights) -> NormalizedWeights:
     return NormalizedWeights(theta_prime=min(w.theta / w.gamma, Rat(2)), scale=w.gamma)
 
 
-def _scaled_weights(w: Weights) -> tuple[int, int, int]:
-    """Return integer costs (g, t) and the common denominator they were scaled by."""
-    den = math.lcm(w.gamma.denominator, w.theta.denominator)
-    return int(w.gamma * den), int(w.theta * den), den
-
-
 def _lev_ints_python(u: str, v: str, g: int, t: int) -> int:
+    """Row DP on integer weights: the kernel past ``_MAX_BLOCK`` and the
+    reference the bit-parallel kernel is tested against."""
     n = len(v)
     prev = [g * j for j in range(n + 1)]
     for i, cu in enumerate(u, 1):
@@ -112,87 +112,83 @@ def _lev_ints_python(u: str, v: str, g: int, t: int) -> int:
     return prev[n]
 
 
-def _lev_ints_numpy(u: str, v: str, g: int, t: int) -> int:
-    # Row update on s[j] = D[j] - g*j: a step along the row then costs
-    # nothing, so insertions collapse into a running minimum, and a diagonal
-    # step costs (0 or t) - g, a vector looked up per symbol of u.
-    n = len(v)
-    varr = np.array([ord(c) for c in v], dtype=np.int64)
-    diag = {c: np.where(varr == ord(c), -g, t - g) for c in set(u)}
-    prev = np.zeros(n + 1, dtype=np.int64)
-    cur = np.empty(n + 1, dtype=np.int64)
-    up = np.empty(n, dtype=np.int64)
-    for cu in u:
-        np.add(prev[:-1], diag[cu], out=cur[1:])
-        np.add(prev[1:], g, out=up)
-        np.minimum(cur[1:], up, out=cur[1:])
-        cur[0] = prev[0] + g
-        np.minimum.accumulate(cur, out=cur)
-        prev, cur = cur, prev
-    return int(prev[n]) + g * n
-
-
-def _match_masks(p: str) -> dict[str, int]:
-    """For each symbol of ``p``, the bit set of the positions where it occurs."""
+def _match_masks(p: str, width: int) -> dict[str, int]:
+    """For each symbol of ``p``, one bit at the start of each ``width``-bit
+    block whose position in ``p`` holds that symbol."""
     masks: dict[str, int] = {}
     bit = 1
     for c in p:
         masks[c] = masks.get(c, 0) | bit
-        bit <<= 1
+        bit <<= width
     return masks
 
 
-def _myers(p: str, s: str) -> int:
-    """Unit-cost Levenshtein distance, bit-parallel over the positions of the
-    nonempty word ``p`` (Myers 1999, in Hyyrö's formulation).
+def _lcs_blocks(p: str, s: str, x: int, c: int) -> int:
+    """Length of a longest common subsequence of B(p) and B(s), where B
+    replaces each symbol a by the block ``#^x a^c`` and ``#`` is a symbol in
+    neither word.  Bit-parallel over the blocks of ``p`` (Allison & Dix 1986,
+    in Hyyrö's 2004 form); x = 0, c = 1 is the plain LCS.
 
-    Bit i of ``pv``/``mv`` says the DP column steps up/down by one between
-    rows i and i+1; ``score`` follows the last row of the column.
+    Bit i of ``v`` is zero where the LCS of the prefix of B(s) read so far
+    grows between positions i and i+1 of B(p), so the zero bits count the
+    LCS.  Only the match masks are expanded: each block bit of a symbol mask
+    is spread over the block's last c bits, the separators of every block
+    form one mask, and ``s`` is walked as x separator steps, then c steps
+    of its symbol, per symbol.
+
+    Why it gives ``lev``: for integer weights g (indel) and t < 2g
+    (substitution), x = 2g - t and c = t,
+
+        lev(u, v) = g*(|u| + |v|) - LCS(B(u), B(v)).
+
+    An alignment of u and v with k matches and m substitutions costs
+    g*(|u| + |v|) - (2g*k + x*m), so it suffices that the LCS is the largest
+    value of 2g*k + x*m over alignments.
+
+    (>=) An alignment lifts block by block: a match keeps its whole block
+    (2g symbols) in common, and a substitution keeps the x separators.
+
+    (<=) Note that LCS(B(a), B(b)) is 2g if a = b and x otherwise.  Induct on
+    the last blocks i of u and j of v in an optimal common subsequence.  If
+    either block has no matches, drop it.  Otherwise the two blocks cannot
+    both match into earlier blocks of the other word, as those matches would
+    cross, so say every match of block j lies in block i.  Block i then has
+    at most LCS(B(u_i), B(v_j)) matches: if it meets a separator inside
+    block j, all of its earlier matches were separators, at most x of them,
+    and its content can only meet block j's content; if it does not, its
+    matches in block j are content, so u_i = v_j, and the block has 2g
+    symbols.  Every other match lies in the prefixes without both blocks,
+    and aligning u_i with v_j adds LCS(B(u_i), B(v_j)) to the value of the
+    prefixes' alignment.
     """
-    peq = _match_masks(p)
-    mask = (1 << len(p)) - 1
-    last = 1 << (len(p) - 1)
-    pv, mv, score = mask, 0, len(p)
-    for c in s:
-        eq = peq.get(c, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
-        mv = ph & xv
-    return score
-
-
-def _lcs(p: str, s: str) -> int:
-    """Length of a longest common subsequence, bit-parallel over the positions
-    of ``p`` (Allison & Dix 1986, in Hyyrö's 2004 form).
-
-    Bit i of ``v`` is zero where the LCS of the prefix of ``s`` read so far
-    grows between rows i and i+1 of ``p``, so the zero bits count the LCS.
-    """
-    peq = _match_masks(p)
-    mask = (1 << len(p)) - 1
+    k = x + c
+    n = len(p) * k
+    mask = (1 << n) - 1
+    masks = _match_masks(p, k)
     v = mask
-    for c in s:
-        m = v & peq.get(c, 0)
-        v = ((v + m) | (v - m)) & mask
-    return len(p) - v.bit_count()
+    if k == 1:  # one step per symbol, without the per-symbol step tuples
+        for a in s:
+            m = v & masks.get(a, 0)
+            v = ((v + m) | (v - m)) & mask
+        return n - v.bit_count()
+    content = ((1 << c) - 1) << x
+    seps = (mask // ((1 << k) - 1) * ((1 << x) - 1),) * x
+    steps = {a: seps + (bits * content,) * c for a, bits in masks.items()}
+    for a in s:
+        for eq in steps.get(a, seps):
+            m = v & eq
+            v = ((v + m) | (v - m)) & mask
+    return n - v.bit_count()
 
 
 def _lev_scaled(u: str, v: str, g: int, t: int) -> int:
     """``lev`` on integer weights: indel ``g``, substitution ``t``.
 
     A common prefix or suffix is matched by some optimal script for any
-    positive weights, so it is stripped first.  The kernel then follows the
-    weights: bit-parallel Levenshtein at t = g, bit-parallel LCS at t >= 2g
-    (no optimal script substitutes there), and the row DP otherwise.
+    positive weights, so it is stripped first.  The weights are divided by
+    their gcd; then t >= 2g is an LCS (no optimal script substitutes), and
+    t < 2g an LCS of words expanded to blocks of 2g symbols, up to
+    ``_MAX_BLOCK``; longer blocks run the row DP.
     """
     lo, hi = 0, min(len(u), len(v))
     while lo < hi and u[lo] == v[lo]:
@@ -204,18 +200,16 @@ def _lev_scaled(u: str, v: str, g: int, t: int) -> int:
     u, v = u[lo:end_u], v[lo:end_v]
     if not u or not v:
         return g * (len(u) + len(v))
-    # Every kernel loops over the shorter word, in bits or numpy rows of
-    # the longer one.
+    # The kernel loops over the shorter word, in bits of the longer one.
     if len(u) > len(v):
         u, v = v, u
-    if t == g:
-        return g * _myers(v, u)
+    e = math.gcd(g, t)
+    g, t = g // e, t // e
     if t >= 2 * g:
-        return g * (len(u) + len(v) - 2 * _lcs(v, u))
-    cells = (len(u) + 1) * (len(v) + 1)
-    if cells >= _NUMPY_MIN_CELLS and (g + t) * (len(u) + len(v) + 2) < _INT64_SAFE:
-        return _lev_ints_numpy(u, v, g, t)
-    return _lev_ints_python(u, v, g, t)
+        return e * g * (len(u) + len(v) - 2 * _lcs_blocks(v, u, 0, 1))
+    if 2 * g > _MAX_BLOCK:
+        return e * _lev_ints_python(u, v, g, t)
+    return e * (g * (len(u) + len(v)) - _lcs_blocks(v, u, 2 * g - t, t))
 
 
 def lev(u: str, v: str, w: Weights = DEFAULT_WEIGHTS) -> Rat:
@@ -223,7 +217,7 @@ def lev(u: str, v: str, w: Weights = DEFAULT_WEIGHTS) -> Rat:
 
     Total function over arbitrary strings; the empty word is allowed.
     """
-    g, t, den = _scaled_weights(w)
+    g, t, den = w._scaled
     return Rat(_lev_scaled(u, v, g, t), den)
 
 
@@ -335,7 +329,7 @@ def distance_matrix(words: Iterable[str], w: Weights = DEFAULT_WEIGHTS) -> Dista
     labels = tuple(words)
     if len(set(labels)) != len(labels):
         raise DuplicateWords("distance matrix needs distinct words")
-    g, t, den = _scaled_weights(w)
+    g, t, den = w._scaled
     n = len(labels)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import isolev
 from isolev.cli import main
 from isolev.langlib import Language, load_language
 from isolev.verify import DEFAULT_SEED
@@ -10,6 +15,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_loads_no_numpy():
+    """isolev has no runtime dependencies: importing it and its CLI in a
+    fresh interpreter loads no numpy."""
+    src = str(Path(isolev.__file__).resolve().parent.parent)
+    code = "import sys, isolev, isolev.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_dist_basic(capsys):

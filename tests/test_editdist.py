@@ -12,11 +12,10 @@ from isolev.editdist import (
     LengthMismatch,
     NormalizedWeights,
     Weights,
-    _lcs,
-    _lev_ints_numpy,
+    _MAX_BLOCK,
+    _lcs_blocks,
     _lev_ints_python,
     _lev_scaled,
-    _myers,
     distance_matrix,
     hamming,
     lev,
@@ -71,21 +70,23 @@ def test_oracle_equivalence_small_sweep():
                 assert lev(u, v, w) == lev_oracle(u, v, w), (u, v, w)
 
 
-def test_dp_engines_agree():
-    rng = random.Random(4242)
-    for _ in range(200):
-        u = "".join(rng.choice("012") for _ in range(rng.randint(0, 30)))
-        v = "".join(rng.choice("012") for _ in range(rng.randint(1, 30)))
-        g = rng.randint(1, 7)
-        t = rng.randint(1, 7)
-        if u:
-            assert _lev_ints_python(u, v, g, t) == _lev_ints_numpy(u, v, g, t)
+def test_block_kernel_matches_row_dp_on_all_binary_pairs():
+    """lev = g*(|u|+|v|) - LCS of the block-expanded words, for every pair of
+    binary words up to length 5, unstripped and in both orders."""
+    words = list(binary_words(5))
+    for g, t in [(1, 1), (2, 1), (2, 3), (3, 4), (3, 5), (4, 7)]:
+        for u in words:
+            for v in words:
+                d = _lev_ints_python(u, v, g, t)
+                assert g * (len(u) + len(v)) - _lcs_blocks(u, v, 2 * g - t, t) == d, (u, v, g, t)
+                assert _lev_scaled(u, v, g, t) == d, (u, v, g, t)
 
 
 # Alphabets of size 1, 2, 4 and many non-ASCII symbols.
 KERNEL_ALPHABETS = ["a", "01", "acgt", "αβγδεζηθλμξπστφψω⊕⊗★☆中文字"]
-# (g, t) in every regime: t < g, t = g, g < t < 2g, t = 2g, t > 2g.
-KERNEL_WEIGHTS = [(2, 1), (1, 1), (2, 3), (1, 2), (1, 3)]
+# (g, t) in every regime: t < g, t = g, g < t < 2g, t = 2g, t > 2g, and
+# blocks of 2g = 20 symbols, past _MAX_BLOCK, which run the row DP.
+KERNEL_WEIGHTS = [(2, 1), (1, 1), (2, 3), (1, 2), (1, 3), (10, 19)]
 
 
 def _kernel_pairs(seed, count=8, max_len=300):
@@ -103,23 +104,26 @@ def _kernel_pairs(seed, count=8, max_len=300):
 
 
 def test_kernels_match_reference_dp():
-    big = 10**20  # scaled weights past int64: the numpy DP must be skipped
+    assert _MAX_BLOCK < 2 * 10  # so that (10, 19) runs the row DP
+    big = 10**20  # weights with a large gcd must reduce to the same kernel
     for u, v in _kernel_pairs(606):
         ref = {(g, t): _lev_ints_python(u, v, g, t) for g, t in KERNEL_WEIGHTS}
-        if u and v:
-            assert _myers(u, v) == ref[1, 1], (u, v)
-            assert _myers(v, u) == ref[1, 1], (u, v)
-            assert len(u) + len(v) - 2 * _lcs(u, v) == ref[1, 2], (u, v)
-            assert _lcs(u, v) == _lcs(v, u), (u, v)
-            assert _lev_ints_numpy(u, v, 2, 3) == ref[2, 3], (u, v)
-            assert _lev_ints_numpy(u, v, 2, 1) == ref[2, 1], (u, v)
+        n = len(u) + len(v)
+        for p, s in ((u, v), (v, u)):
+            assert n - _lcs_blocks(p, s, 1, 1) == ref[1, 1], (u, v)
+            assert n - 2 * _lcs_blocks(p, s, 0, 1) == ref[1, 2], (u, v)
+            assert 2 * n - _lcs_blocks(p, s, 1, 3) == ref[2, 3], (u, v)
+            assert 2 * n - _lcs_blocks(p, s, 3, 1) == ref[2, 1], (u, v)
         for (g, t), d in ref.items():
             assert _lev_scaled(u, v, g, t) == d, (u, v, g, t)
             assert _lev_scaled(v, u, 3 * g, 3 * t) == 3 * d, (u, v, g, t)
             assert _lev_scaled(u, v, big * g, big * t) == big * d, (u, v, g, t)
 
 
-@pytest.mark.parametrize("ratio", [Fraction(1, 2), 1, Fraction(3, 2), 2, 3])
+@pytest.mark.parametrize("ratio", [
+    Fraction(1, 2), 1, Fraction(3, 2), 2, 3,
+    Fraction(1, 3), Fraction(2, 3), Fraction(5, 4), Fraction(7, 4), Fraction(19, 10),
+])
 def test_lev_matches_oracle_at_extreme_rationals(ratio):
     rng = random.Random(f"extreme-{ratio}")
     for gamma in (Fraction(1, 10**30), Fraction(10**30 + 1, 7)):
