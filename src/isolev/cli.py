@@ -117,10 +117,6 @@ def _cmd_isom(args) -> int:
     lang = load_language(args.lang)
     matrix = distance_matrix(lang, _weights(args))
     if args.brute:
-        if matrix.n > BRUTE_MAX_DEGREE:
-            raise DegreeTooLarge(
-                f"--brute supports at most {BRUTE_MAX_DEGREE} words, got {matrix.n}"
-            )
         group = isometries_brute(matrix)
     else:
         group = isometries(matrix)
@@ -241,8 +237,7 @@ _WEIGHT_READERS = {
 
 
 def _cmd_verify(args) -> int:
-    theta = _parse_rat(args.theta)
-    w = Weights(_parse_rat(args.gamma), theta)
+    w = _weights(args)
     for flag, value in (("gamma", w.gamma), ("theta", w.theta)):
         if value != 1 and args.claim not in _WEIGHT_READERS[flag]:
             raise ValueError(f"verify {args.claim} does not read --{flag}, got {value}")

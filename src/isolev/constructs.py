@@ -7,7 +7,7 @@ layer depth, and all group-theoretic claims are made for the truncation only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
 from itertools import product
@@ -43,6 +43,8 @@ class SimpleGraph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    # Every edge in both orientations, so that has_edge needs no min/max.
+    _adjacent: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prev = None
@@ -52,6 +54,8 @@ class SimpleGraph:
             if prev is not None and (u, v) <= prev:
                 raise ValueError("edges must be strictly sorted pairs; use from_edges")
             prev = (u, v)
+        adjacent = frozenset(self.edges).union((v, u) for u, v in self.edges)
+        object.__setattr__(self, "_adjacent", adjacent)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
@@ -82,7 +86,7 @@ class SimpleGraph:
         return self.n > 0 and all(d == 3 for d in self.degrees())
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in set(self.edges)
+        return (a, b) in self._adjacent
 
 
 def _require_cubic(graph: SimpleGraph) -> None:
@@ -137,15 +141,6 @@ def parse_graph(text: str) -> SimpleGraph:
     if len(edges) != m:
         raise GraphFormatError(f"header claims {m} edges, file has {len(edges)}")
     return SimpleGraph.from_edges(n, edges)
-
-
-def format_graph(graph: SimpleGraph, comment: str = "") -> str:
-    lines = []
-    if comment:
-        lines.append(f"c {comment}")
-    lines.append(f"p {graph.n} {graph.edge_count}")
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges)
-    return "\n".join(lines) + "\n"
 
 
 def load_graph(path) -> SimpleGraph:
@@ -309,14 +304,14 @@ def theorem6_language(layers: int) -> Language:
     return Language(words)
 
 
-def unary_language(lengths: Iterable[int], symbol: str = "a") -> Language:
-    """Words symbol^n for the given distinct lengths, in ascending order."""
+def unary_language(lengths: Iterable[int]) -> Language:
+    """Words a^n for the given distinct lengths, in ascending order."""
     ls = list(lengths)
     if len(set(ls)) != len(ls):
         raise ValueError("lengths must be distinct")
     if any(n < 0 for n in ls):
         raise ValueError("lengths must be non-negative")
-    return Language(symbol * n for n in sorted(ls))
+    return Language("a" * n for n in sorted(ls))
 
 
 def prop4_language(n_max: int) -> Language:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .editdist import DistanceMatrix
@@ -304,15 +305,8 @@ def same_group(g: PermutationGroup, h: PermutationGroup) -> bool:
     )
 
 
-def _color_matrix(matrix: DistanceMatrix) -> list[list[int]]:
-    """Each entry replaced by its rank among the distinct entries."""
-    values = sorted({x for row in matrix.rows for x in row})
-    code = {x: i for i, x in enumerate(values)}.__getitem__
-    return [list(map(code, row)) for row in matrix.rows]
-
-
 def _refine(
-    colors: list[list[int]],
+    rows: Sequence[Sequence[int]],
     lab: list[int],
     size: list[int],
     splitters: list[int],
@@ -322,7 +316,7 @@ def _refine(
 
     ``lab`` lists the points cell by cell.  A cell is named by the position
     of its first point in ``lab``, and ``size[s]`` is the length of the cell
-    at s.  A splitter cell W splits every cell by the sorted distance colours
+    at s.  A splitter cell W splits every cell by the sorted row entries
     from each of its points to W; the pieces take the cell's place in sorted
     key order.  A split cell that was waiting to split others leaves every
     piece waiting, otherwise all but its first largest piece, whose effect
@@ -347,12 +341,12 @@ def _refine(
         w = queue.popleft()
         queued[w] = False
         if size[w] == 1:
-            key = colors[lab[w]].__getitem__
+            key = rows[lab[w]].__getitem__
         else:
             members = lab[w : w + size[w]]
 
             def key(x: int) -> tuple[int, ...]:
-                return tuple(sorted(map(colors[x].__getitem__, members)))
+                return tuple(sorted(map(rows[x].__getitem__, members)))
 
         still_open = []
         for s in open_cells:
@@ -388,12 +382,12 @@ def _refine(
     return trace
 
 
-def _root_partition(colors: list[list[int]]) -> tuple[list[int], list[int]]:
+def _root_partition(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """The equitable refinement of the one-cell partition: (lab, size)."""
-    n = len(colors)
+    n = len(rows)
     lab = list(range(n))
     size = [n] + [0] * (n - 1)
-    _refine(colors, lab, size, [0])
+    _refine(rows, lab, size, [0])
     return lab, size
 
 
@@ -437,10 +431,9 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
     a ready stabilizer chain.  The search visits at most
     ``SEARCH_NODE_CAP`` refinement nodes, else raises ``GroupTooLarge``.
     """
-    n = matrix.n
+    n, rows = matrix.n, matrix.rows
     if n <= 1:
         return PermutationGroup(n, [])
-    colors = _color_matrix(matrix)
     visited = 0
 
     def refine(lab, size, s, ref=None):
@@ -450,11 +443,11 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
             raise GroupTooLarge(
                 f"isometry search visited {visited} nodes, over the cap of {SEARCH_NODE_CAP}"
             )
-        return _refine(colors, lab, size, [s], ref)
+        return _refine(rows, lab, size, [s], ref)
 
     # path[i] is the first path's partition above level i, whose cell cells[i]
     # holds the base point bases[i]; traces[i] is the refinement that follows.
-    lab, size = _root_partition(colors)
+    lab, size = _root_partition(rows)
     path, cells, bases, traces = [], [], [], []
     s = _first_open_cell(lab, size)
     while s is not None:
@@ -472,8 +465,10 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
         images = [0] * n
         for a, b in zip(first_leaf, leaf):
             images[a] = b
+        # itemgetter returns a tuple (n >= 2); list rows compare as tuples too
+        permuted = itemgetter(*images)
         for a in range(n):
-            if list(map(colors[images[a]].__getitem__, images)) != colors[a]:
+            if permuted(rows[images[a]]) != tuple(rows[a]):
                 return None
         return Permutation._unchecked(tuple(images))
 
@@ -508,9 +503,9 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
         s = cells[level]
         introduced: list[Permutation] = []
         refuted: list[int] = []
-        in_orbit, dead = {base}, set()
+        skip = {base}
         for c in sorted(lab[s : s + size[s]]):
-            if c in in_orbit or c in dead:
+            if c in skip:
                 continue
             g = find(level, c)
             if g is None:
@@ -518,8 +513,7 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
             else:
                 gens.append(g)
                 introduced.append(g)
-                in_orbit = _orbit([base], gens)
-            dead = _orbit(refuted, gens)
+            skip = _orbit([base, *refuted], gens)
         if introduced:
             lvl = _ChainLevel(base)
             lvl.introduced = introduced
@@ -531,18 +525,17 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
 
 def isometries_brute(matrix: DistanceMatrix) -> PermutationGroup:
     """Oracle: test all n! permutations, return every preserving one."""
-    n = matrix.n
+    n, rows = matrix.n, matrix.rows
     if n > BRUTE_MAX_DEGREE:
-        raise DegreeTooLarge(f"brute force is capped at degree {BRUTE_MAX_DEGREE}")
+        raise DegreeTooLarge(f"brute force supports at most {BRUTE_MAX_DEGREE} points, got {n}")
     if n == 0:
         return PermutationGroup(0, [])
-    colors = _color_matrix(matrix)
     found = []
     for images in _all_permutations(range(n)):
         ok = True
         for a in range(n):
-            row = colors[a]
-            irow = colors[images[a]]
+            row = rows[a]
+            irow = rows[images[a]]
             for b in range(a + 1, n):
                 if row[b] != irow[images[b]]:
                     ok = False
@@ -558,11 +551,8 @@ def graph_automorphisms(graph) -> PermutationGroup:
     """Automorphism group of a simple graph, via the two-coloured matrix
     (distance 1 on edges, 2 on non-edges)."""
     n = graph.n
-    if n <= 1:
-        return PermutationGroup(n, [])
-    adjacent = set(graph.edges)
     rows = tuple(
-        tuple(0 if a == b else (1 if (min(a, b), max(a, b)) in adjacent else 2) for b in range(n))
+        tuple(0 if a == b else (1 if graph.has_edge(a, b) else 2) for b in range(n))
         for a in range(n)
     )
     labels = tuple(str(v) for v in range(n))

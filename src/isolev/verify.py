@@ -108,15 +108,14 @@ class _Witnesses:
     """Bounded witness list that keeps counting after the cap.  It also times
     the check, from its creation to its report."""
 
-    def __init__(self, cap: int = _WITNESS_CAP):
-        self.cap = cap
+    def __init__(self):
         self.items: list[str] = []
         self.count = 0
         self.t0 = time.perf_counter()
 
     def add(self, text: str) -> None:
         self.count += 1
-        if len(self.items) < self.cap:
+        if len(self.items) < _WITNESS_CAP:
             self.items.append(text)
 
     def report(self, claim, params, details) -> VerificationReport:
@@ -366,22 +365,30 @@ def _adjacency(graph: SimpleGraph):
 
 
 def _check_layered(claim, params, wit: _Witnesses, lang: Language, theta, within,
-                   extra, order=None, orbits=None) -> VerificationReport:
+                   extra=None, order=None, orbits=None, sizes=None,
+                   lengths=None) -> VerificationReport:
     """Check a layered construction at weights (1, ``theta``) against the rule
     all its claims share; ``theta`` is recorded as the last param.
 
-    The words are grouped into layers by length.  Every pair a < b is
-    checked: within layer L its distance is ``within[L](i, j)`` at the two
-    words' positions i < j in that layer, and across layers it is the length
-    gap.  Every within-layer distance must lie below every cross-layer one.
-    Then the isometry group's order and sorted orbit sizes are compared with
-    ``order`` and ``orbits`` when given, and ``extra(matrix, layers, group,
-    wit, details)`` adds the claim's own checks and details.
+    The words are grouped into layers by length.  Their word counts and word
+    lengths are compared with ``sizes`` and ``lengths`` when given.  Every
+    pair a < b is checked: within layer L its distance is ``within[L](i, j)``
+    at the two words' positions i < j in that layer, and across layers it is
+    the length gap.  Every within-layer distance must lie below every
+    cross-layer one.  Then the isometry group's order and sorted orbit sizes
+    are compared with ``order`` and ``orbits`` when given, and
+    ``extra(matrix, layers, group, wit, details)``, if given, adds the
+    claim's own checks and details.
     """
     th = Weights(1, theta)
     matrix = distance_matrix(lang, th)
-    lengths = sorted(set(lang.lengths()))
-    layers = [[a for a, word in enumerate(lang) if len(word) == n] for n in lengths]
+    layer_lengths = sorted(set(lang.lengths()))
+    layers = [[a for a, word in enumerate(lang) if len(word) == n] for n in layer_lengths]
+    layer_sizes = [len(layer) for layer in layers]
+    if sizes is not None and layer_sizes != sizes:
+        wit.add(f"layer sizes {layer_sizes}, wanted {sizes}")
+    if lengths is not None and layer_lengths != lengths:
+        wit.add(f"layer lengths {layer_lengths}, wanted {lengths}")
     place = {a: (la, i) for la, layer in enumerate(layers) for i, a in enumerate(layer)}
     within_max, cross_min = Rat(0), None
     for a in range(len(lang)):
@@ -400,16 +407,17 @@ def _check_layered(claim, params, wit: _Witnesses, lang: Language, theta, within
     if cross_min is not None and within_max >= cross_min:
         wit.add(f"layer separation fails: max within {within_max} >= min cross {cross_min}")
     group = isometries(matrix)
-    sizes = sorted(group.orbits().sizes())
+    orbit_sizes = sorted(group.orbits().sizes())
     if order is not None and group.order() != order:
         wit.add(f"group order {group.order()}, wanted {order}")
-    if orbits is not None and sizes != sorted(orbits):
-        wit.add(f"orbit sizes {sizes}, wanted {sorted(orbits)}")
+    if orbits is not None and orbit_sizes != sorted(orbits):
+        wit.add(f"orbit sizes {orbit_sizes}, wanted {sorted(orbits)}")
     details = {"words": len(lang)}
-    extra(matrix, layers, group, wit, details)
+    if extra is not None:
+        extra(matrix, layers, group, wit, details)
     details["group_order"] = str(group.order())
     if orbits is not None:
-        details["orbit_sizes"] = sizes
+        details["orbit_sizes"] = orbit_sizes
     return wit.report(claim, {**params, "theta": th.theta}, details)
 
 
@@ -423,12 +431,7 @@ def check_theorem2(graph_name: str = "k4", theta=1):
     lang = theorem2_language(g)
 
     def extra(matrix, layers, group, wit, details):
-        if any(len(word) != 16 * g.edge_count for word in lang):
-            wit.add(f"word lengths {sorted(set(lang.lengths()))}, "
-                    f"wanted 16|E|={16 * g.edge_count}")
         auts = graph_automorphisms(g)
-        if group.order() != entry.aut_order:
-            wit.add(f"group order {group.order()}, catalog automorphism order {entry.aut_order}")
         if auts.order() != entry.aut_order:
             wit.add(f"graph automorphism order {auts.order()} != catalog {entry.aut_order}")
         if not same_group(group, auts):
@@ -436,7 +439,8 @@ def check_theorem2(graph_name: str = "k4", theta=1):
         details["word_length"] = 16 * g.edge_count
 
     return _check_layered("theorem2", {"graph": entry.name}, wit, lang, theta,
-                          [_adjacency(g)], extra)
+                          [_adjacency(g)], extra, order=entry.aut_order,
+                          lengths=[16 * g.edge_count])
 
 
 def check_theorem3(graphs: Sequence[SimpleGraph], depth: Optional[int] = None, theta=1):
@@ -479,9 +483,6 @@ def check_theorem4(k=2, depth=1, theta=1):
         within.append(lambda i, j, words=words: hamming(words[i], words[j]))
 
     def extra(matrix, layers, group, wit, details):
-        sizes = [len(layer) for layer in layers[1:]]
-        if sizes != [k ** (k**level) for level in range(1, depth + 1)]:
-            wit.add(f"layer sizes {sizes} do not match k^(k^level)")
         layer_orders = [isometries(matrix.submatrix(layer)).order() for layer in layers[1:]]
         readings = {"statement": factorial(k) ** k * factorial(k),
                     "proof": factorial(k) ** k * factorial(2)}
@@ -501,7 +502,7 @@ def check_theorem4(k=2, depth=1, theta=1):
                        layer1_group_order=str(layer_orders[0]), matched_reading=matched)
 
     return _check_layered("theorem4", {"k": k, "depth": depth}, wit, lang, theta, within,
-                          extra)
+                          extra, sizes=[1] + [k ** (k**level) for level in range(1, depth + 1)])
 
 
 def check_theorem5(g1: SimpleGraph, g2: SimpleGraph, depth=1, theta=1):
@@ -564,17 +565,11 @@ def check_theorem6(layers=3, theta=1):
     the group is the product of the full symmetric groups on the layers."""
     wit = _Witnesses()
     lang = theorem6_language(layers)
-
-    def extra(matrix, by_layer, group, wit, details):
-        for i, layer in enumerate(by_layer, 1):
-            if len(layer) != 2 * i:
-                wit.add(f"layer {i} has {len(layer)} words, wanted {2 * i}")
-            if len(lang[layer[0]]) != 6 * i:
-                wit.add(f"layer {i} length {len(lang[layer[0]])}, wanted {6 * i}")
-
     return _check_layered(
         "theorem6", {"layers": layers}, wit, lang, theta,
-        [lambda i, j: 2] * layers, extra,
+        [lambda i, j: 2] * layers,
         order=prod(factorial(2 * i) for i in range(1, layers + 1)),
         orbits=[2 * i for i in range(1, layers + 1)],
+        sizes=[2 * i for i in range(1, layers + 1)],
+        lengths=[6 * i for i in range(1, layers + 1)],
     )

@@ -142,6 +142,24 @@ def test_matrix_and_isom_output_pinned(tmp_path, capsys):
         assert run(capsys, "isom", *weights) == (0, PINNED_ISOM, "")
 
 
+# Nine generators on three layers, in the order the search finds them.
+PINNED_THEOREM6_ISOM = (
+    '{"degree": 12, "order": "34560", "generators": ['
+    '[0, 1, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11], [0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10, 11], '
+    '[0, 1, 2, 3, 4, 5, 6, 7, 9, 8, 10, 11], [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11], '
+    '[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10], [0, 1, 3, 2, 4, 5, 6, 7, 8, 9, 10, 11], '
+    '[0, 1, 2, 4, 3, 5, 6, 7, 8, 9, 10, 11], [0, 1, 2, 3, 5, 4, 6, 7, 8, 9, 10, 11], '
+    '[1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]], "orbit_sizes": [2, 4, 6]}\n'
+)
+
+
+def test_theorem6_isom_generators_pinned(tmp_path, capsys):
+    lang_file = tmp_path / "t6.lang"
+    assert run(capsys, "construct", "theorem6", "--layers", "3", "--out", str(lang_file))[0] == 0
+    assert run(capsys, "isom", "--lang", str(lang_file), "--theta", "3/2") == (
+        0, PINNED_THEOREM6_ISOM, "")
+
+
 # Reports of every layered construction claim at its defaults, fixed
 # literally (elapsed time masked) so that the claim checkers keep every byte.
 PINNED_REPORTS = {

@@ -12,7 +12,6 @@ from isolev.constructs import (
     catalog,
     catalog_graph,
     encode_cubic_graph,
-    format_graph,
     lemma5_language,
     parse_graph,
     prop4_language,
@@ -40,10 +39,9 @@ def test_simple_graph_validation():
     assert not g.is_cubic()
 
 
-def test_graph_format_round_trip():
-    g = catalog_graph("petersen")
-    text = format_graph(g, comment="petersen")
-    assert parse_graph(text) == g
+def test_graph_format_parses_literal_edge_list():
+    text = "c K4, edges out of order\np 4 6\ne 3 4\ne 2 1\ne 1 3\ne 4 1\ne 2 3\ne 2 4\n"
+    assert parse_graph(text) == catalog_graph("k4")
 
 
 def test_graph_parse_errors():

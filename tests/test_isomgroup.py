@@ -17,7 +17,6 @@ from isolev.isomgroup import (
     GroupTooLarge,
     Permutation,
     PermutationGroup,
-    _color_matrix,
     _root_partition,
     graph_automorphisms,
     isometries,
@@ -199,7 +198,7 @@ def test_frucht_rigidity_by_independent_refinement():
         tuple(str(i) for i in range(g.n)),
         tuple(map(tuple, dist)),
     )
-    lab, size = _root_partition(_color_matrix(matrix))
+    lab, size = _root_partition(matrix.rows)
     assert sorted(lab) == list(range(g.n))
     assert size == [1] * g.n
 
@@ -261,6 +260,35 @@ def test_hypercube_orders():
 def test_paley_orders():
     for p in (5, 13, 17, 29, 37, 41):
         assert graph_automorphisms(paley(p)).order() == p * (p - 1) // 2
+
+
+# Generator lists of the solver, fixed literally: the search is deterministic,
+# so any change to its candidate order or pruning that alters them fails.
+PINNED_AUT_GENERATORS = {
+    "petersen": [[1, 0, 4, 3, 2, 6, 5, 9, 8, 7], [0, 4, 3, 2, 1, 5, 9, 8, 7, 6],
+                 [0, 1, 2, 7, 5, 4, 6, 3, 9, 8], [0, 1, 6, 9, 4, 5, 2, 8, 7, 3]],
+    "gp(8,3)": [[1, 0, 7, 6, 5, 4, 3, 2, 9, 8, 15, 14, 13, 12, 11, 10],
+                [0, 7, 6, 5, 4, 3, 2, 1, 8, 15, 14, 13, 12, 11, 10, 9],
+                [0, 1, 9, 12, 4, 5, 13, 8, 7, 2, 14, 15, 3, 6, 10, 11]],
+}
+
+
+def test_graph_automorphism_generators_pinned():
+    graphs = {"petersen": catalog_graph("petersen"), "gp(8,3)": generalized_petersen(8, 3)}
+    for name, graph in graphs.items():
+        group = graph_automorphisms(graph)
+        assert [list(g.images) for g in group.generators] == PINNED_AUT_GENERATORS[name]
+
+
+def test_list_rows_give_the_same_generators_as_tuple_rows():
+    def listed(m):
+        return DistanceMatrix(m.words, [list(row) for row in m.rows], m.den)
+
+    m = distance_matrix(list(theorem2_language(catalog_graph("petersen"))))
+    assert isometries(listed(m)).generators == isometries(m).generators
+    assert len(isometries(m).generators) == 4
+    small = m.submatrix(range(6))
+    assert isometries_brute(listed(small)).generators == isometries_brute(small).generators
 
 
 def test_generalized_petersen_orders():

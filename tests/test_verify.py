@@ -177,6 +177,18 @@ def test_theorem6_checker_by_weight():
     assert bad.details["group_order"] == "2"  # group is still the full layer swap
 
 
+def test_layer_sizes_and_lengths_are_checked(monkeypatch):
+    # theorem6 without the last word of layer 2, and theorem2 with every word
+    # one symbol longer than 16|E|
+    words6 = list(verify.theorem6_language(3))
+    del words6[5]
+    words2 = [w + "0" for w in verify.theorem2_language(catalog_graph("k4"))]
+    monkeypatch.setattr(verify, "theorem6_language", lambda layers: Language(words6))
+    monkeypatch.setattr(verify, "theorem2_language", lambda graph: Language(words2))
+    assert "layer sizes [2, 3, 6], wanted [2, 4, 6]" in check_theorem6(layers=3).witnesses
+    assert "layer lengths [97], wanted [96]" in check_theorem2("k4").witnesses
+
+
 def test_elapsed_covers_the_checkers_work(monkeypatch):
     real_lev, real_matrix = verify.lev, verify.distance_matrix
 
