@@ -177,46 +177,38 @@ def _sift(levels: list[_ChainLevel], p: Permutation) -> tuple[Permutation, int]:
     return p, len(levels)
 
 
+def _place(levels: list[_ChainLevel], p: Permutation, degree: int) -> bool:
+    """Sift p into the chain.  A non-identity residue joins the level where
+    the sift stopped, or a new level at its smallest moved point, and the
+    transversals of levels 0..at are recomputed; True when the chain grew."""
+    residue, at = _sift(levels, p)
+    if residue.is_identity():
+        return False
+    if at == len(levels):
+        base = min(k for k in range(degree) if residue(k) != k)
+        levels.append(_ChainLevel(base))
+    levels[at].introduced.append(residue)
+    # Only the transversals of levels 0..at use generators introduced at `at`.
+    for i in range(at + 1):
+        _recompute_transversal(levels, i, degree)
+    return True
+
+
 def _build_chain(degree: int, generators: Iterable[Permutation]) -> list[_ChainLevel]:
     """Deterministic Schreier-Sims with full re-verification after every
     addition; base points are the smallest moved points, in natural order."""
     levels: list[_ChainLevel] = []
-
-    def place(p: Permutation) -> bool:
-        residue, at = _sift(levels, p)
-        if residue.is_identity():
-            return False
-        if at == len(levels):
-            base = min(k for k in range(degree) if residue(k) != k)
-            levels.append(_ChainLevel(base))
-        levels[at].introduced.append(residue)
-        # Only the transversals of levels 0..at use generators introduced at `at`.
-        for i in range(at + 1):
-            _recompute_transversal(levels, i, degree)
-        return True
-
-    for g in dict.fromkeys(generators):
-        if not g.is_identity():
-            place(g)
-
-    grew = True
-    while grew:
-        grew = False
-        for i in range(len(levels)):
-            lvl = levels[i]
-            gens_here = _gens_from(levels, i)
-            for point in sorted(lvl.transversal):
-                u = lvl.transversal[point]
-                for g in gens_here:
-                    s = u * g
-                    schreier = s * lvl.transversal[s(lvl.base)].inverse()
-                    if not schreier.is_identity() and place(schreier):
-                        grew = True
-                        break
-                if grew:
-                    break
-            if grew:
-                break
+    for g in generators:
+        _place(levels, g, degree)
+    # A Schreier generator u·g·t⁻¹, with t the transversal element at the
+    # image of the base under u·g, which is g(point).
+    while any(
+        _place(levels, u * g * lvl.transversal[g(point)].inverse(), degree)
+        for i, lvl in enumerate(levels)
+        for point, u in sorted(lvl.transversal.items())
+        for g in _gens_from(levels, i)
+    ):
+        pass
     return levels
 
 
@@ -498,12 +490,11 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
     gens: list[Permutation] = []
     levels: list[_ChainLevel] = []
     for level in reversed(range(depth)):
-        base = bases[level]
+        lvl = _ChainLevel(bases[level])
         lab, size = path[level]
         s = cells[level]
-        introduced: list[Permutation] = []
         refuted: list[int] = []
-        skip = {base}
+        skip = {lvl.base}
         for c in sorted(lab[s : s + size[s]]):
             if c in skip:
                 continue
@@ -512,11 +503,9 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
                 refuted.append(c)
             else:
                 gens.append(g)
-                introduced.append(g)
-            skip = _orbit([base, *refuted], gens)
-        if introduced:
-            lvl = _ChainLevel(base)
-            lvl.introduced = introduced
+                lvl.introduced.append(g)
+            skip = _orbit([lvl.base, *refuted], gens)
+        if lvl.introduced:
             levels.insert(0, lvl)
     for i in range(len(levels)):
         _recompute_transversal(levels, i, n)
@@ -524,13 +513,14 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
 
 
 def isometries_brute(matrix: DistanceMatrix) -> PermutationGroup:
-    """Oracle: test all n! permutations, return every preserving one."""
+    """Oracle: test all n! permutations entry by entry and sift each
+    preserving one into a stabilizer chain.  Every group element passes
+    through the chain, so it is complete without a Schreier-Sims pass; the
+    group carries it and its strong generators, at most n(n-1)/2 of them."""
     n, rows = matrix.n, matrix.rows
     if n > BRUTE_MAX_DEGREE:
         raise DegreeTooLarge(f"brute force supports at most {BRUTE_MAX_DEGREE} points, got {n}")
-    if n == 0:
-        return PermutationGroup(0, [])
-    found = []
+    levels: list[_ChainLevel] = []
     for images in _all_permutations(range(n)):
         ok = True
         for a in range(n):
@@ -543,8 +533,8 @@ def isometries_brute(matrix: DistanceMatrix) -> PermutationGroup:
             if not ok:
                 break
         if ok:
-            found.append(Permutation(images))
-    return PermutationGroup(n, found)
+            _place(levels, Permutation._unchecked(images), n)
+    return PermutationGroup(n, _gens_from(levels, 0), _chain=levels)
 
 
 def graph_automorphisms(graph) -> PermutationGroup:

@@ -201,7 +201,7 @@ def check_bounds(gamma=1, theta=1, samples=1000, max_len=12, seed=DEFAULT_SEED):
                                "max_len": max_len}, samples, seed, sample)
 
 
-def check_homothety(samples=500, max_len=10, seed=DEFAULT_SEED):
+def check_homothety(samples=500, max_len=12, seed=DEFAULT_SEED):
     """Rescaling to unit indel weight multiplies every distance by the scale
     factor exactly, including weights where substitution exceeds two indels."""
     details = {"cases_with_ratio_above_two": 0}

@@ -410,6 +410,16 @@ def test_isom_command(tmp_path, capsys):
     assert code == 0 and json.loads(out)["order"] == "2"
 
 
+def test_isom_brute_prints_a_generating_set(tmp_path, capsys):
+    lang_file = tmp_path / "eq8.lang"
+    lang_file.write_text("\n".join("abcdefgh") + "\n")
+    code, out, _ = run(capsys, "isom", "--lang", str(lang_file), "--brute")
+    group = json.loads(out)
+    assert code == 0 and group["order"] == "40320" and group["orbit_sizes"] == [8]
+    assert len(group["generators"]) <= 8 * 7 // 2
+    assert len(out.encode()) < 1024
+
+
 def test_isom_single_word(tmp_path, capsys):
     lang_file = tmp_path / "one.lang"
     lang_file.write_text("abc\n")
@@ -640,8 +650,9 @@ def test_construct_theorem3_theorem4_theorem5(tmp_path, capsys):
 
 
 def test_command_defaults(tmp_path, capsys):
-    """Defaults that the CLI sets itself, per command and per claim; several
-    differ from the checkers' own keyword defaults."""
+    """Defaults that the CLI sets itself, per command and per claim.  The
+    sampled claims' defaults equal the checkers' own keyword defaults, so a
+    library call and the CLI draw the same samples for a seed."""
     def verify_json(*argv):
         code, out, _ = run(capsys, "verify", *argv, "--json")
         assert code in (0, 1)
@@ -652,6 +663,9 @@ def test_command_defaults(tmp_path, capsys):
     assert verify_json("homothety", "--samples", "0")["params"] == {
         "samples": 0, "max_len": 12, "seed": DEFAULT_SEED}
     assert verify_json("metric", "--samples", "0")["params"]["samples"] == 0
+    for claim in ("metric", "bounds", "homothety", "lemma3"):
+        library = getattr(isolev.verify, f"check_{claim}")(samples=0).to_json_dict()
+        assert verify_json(claim, "--samples", "0")["params"] == library["params"]
     assert verify_json("lemma3")["params"] == {
         "samples": 200, "theta": 1, "max_len": 5, "seed": DEFAULT_SEED}
     assert verify_json("lemma5")["params"]["depth"] == 2

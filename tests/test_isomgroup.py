@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from isolev.constructs import (
     catalog,
     catalog_graph,
     theorem2_language,
+    theorem6_language,
     unary_language,
 )
 from isolev.editdist import DistanceMatrix, Weights, distance_matrix
@@ -109,11 +111,15 @@ def test_brute_examples():
         isometries_brute(distance_matrix([f"{i:04b}" for i in range(10)]))
 
 
-def test_brute_order_equals_preserving_count():
+# Entry values for random matrices; one value gives the full symmetric group,
+# and a skewed choice leaves room for smaller symmetric groups.
+_SYMMETRIC_PALETTES = [(1,), (1, 1, 1, 1, 2), (1, 2, 2, 2, 2), (1, 2)]
+
+
+def _preserving_count(m):
+    """Permutations preserving every entry of m, counted by a plain loop."""
     from itertools import permutations as allperms
 
-    lang = unary_language([1, 3, 5])
-    m = distance_matrix(lang)
     count = 0
     for images in allperms(range(m.n)):
         if all(
@@ -122,7 +128,23 @@ def test_brute_order_equals_preserving_count():
             for j in range(m.n)
         ):
             count += 1
-    assert isometries_brute(m).order() == count == 2
+    return count
+
+
+def test_brute_order_equals_preserving_count():
+    m = distance_matrix(unary_language([1, 3, 5]))
+    assert isometries_brute(m).order() == _preserving_count(m) == 2
+    rng = random.Random(11)
+    for trial in range(24):
+        n = 7 if trial % 6 == 0 else rng.randint(0, 6)
+        m = _random_matrix(rng, n, rng.choice(_SYMMETRIC_PALETTES))
+        group = isometries_brute(m)
+        assert group.order() == _preserving_count(m)
+        assert len(group.generators) <= n * (n - 1) // 2
+        for g in group.generators:
+            for i in range(n):
+                for j in range(n):
+                    assert m.entry(i, j) == m.entry(g(i), g(j))
 
 
 def test_solver_matches_brute_on_fixtures():
@@ -365,3 +387,40 @@ def test_solver_matches_brute_on_random_matrices():
         assert a.order() == b.order()
         assert same_group(a, b)
 
+
+def _disjoint_union(g, h):
+    return SimpleGraph.from_edges(g.n + h.n, [*g.edges, *((a + g.n, b + g.n) for a, b in h.edges)])
+
+
+def test_search_refine_calls_pinned(monkeypatch):
+    """The number of refinements each search runs, fixed literally: a change
+    that only makes the search retry candidates keeps every group but fails
+    here.  Only on the disjoint unions does the skip set save work by
+    covering the orbits of refuted candidates."""
+    from isolev import isomgroup
+
+    calls = 0
+    refine = isomgroup._refine
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(isomgroup, "_refine", counting)
+    w = Weights(1, Fraction(3, 2))
+    cases = [
+        (lambda: isometries(distance_matrix(list(theorem6_language(3)), w)), 55),
+        (lambda: isometries(distance_matrix(list(theorem6_language(8)), w)), 2145),
+        (lambda: graph_automorphisms(catalog_graph("petersen")), 15),
+        (lambda: graph_automorphisms(
+            _disjoint_union(generalized_petersen(3, 1), catalog_graph("k33"))), 39),
+        (lambda: graph_automorphisms(
+            _disjoint_union(generalized_petersen(8, 1), generalized_petersen(8, 3))), 27),
+    ]
+    counts = []
+    for search, _ in cases:
+        calls = 0
+        search()
+        counts.append(calls)
+    assert counts == [pinned for _, pinned in cases]
