@@ -122,12 +122,24 @@ class OrbitPartition:
 
 
 class _ChainLevel:
-    __slots__ = ("base", "introduced", "transversal")
+    """One level of a stabilizer chain.  ``transversal`` maps each point of
+    the base's orbit to an element carrying the base onto the point;
+    ``inverses`` keeps an element's inverse from its first use until the
+    transversal is recomputed, so a sift inverts nothing it inverted before."""
+
+    __slots__ = ("base", "introduced", "transversal", "inverses")
 
     def __init__(self, base: int):
         self.base = base
         self.introduced: list[Permutation] = []
         self.transversal: dict[int, Permutation] = {}
+        self.inverses: dict[int, Permutation] = {}
+
+    def inverse_at(self, point: int) -> Permutation:
+        inv = self.inverses.get(point)
+        if inv is None:
+            inv = self.inverses[point] = self.transversal[point].inverse()
+        return inv
 
 
 def _gens_from(levels: list[_ChainLevel], start: int) -> list[Permutation]:
@@ -157,11 +169,12 @@ def _recompute_transversal(levels: list[_ChainLevel], i: int, degree: int) -> No
     for point in queue:
         u = trans[point]
         for g in gens:
-            npt = g(point)
+            npt = g.images[point]
             if npt not in trans:
                 trans[npt] = u * g
                 queue.append(npt)
     lvl.transversal = trans
+    lvl.inverses = {}
 
 
 def _sift(levels: list[_ChainLevel], p: Permutation) -> tuple[Permutation, int]:
@@ -170,10 +183,9 @@ def _sift(levels: list[_ChainLevel], p: Permutation) -> tuple[Permutation, int]:
         target = p(lvl.base)
         if target == lvl.base:
             continue
-        u = lvl.transversal.get(target)
-        if u is None:
+        if target not in lvl.transversal:
             return p, i
-        p = p * u.inverse()
+        p = p * lvl.inverse_at(target)
     return p, len(levels)
 
 
@@ -203,7 +215,7 @@ def _build_chain(degree: int, generators: Iterable[Permutation]) -> list[_ChainL
     # A Schreier generator u·g·t⁻¹, with t the transversal element at the
     # image of the base under u·g, which is g(point).
     while any(
-        _place(levels, u * g * lvl.transversal[g(point)].inverse(), degree)
+        _place(levels, u * g * lvl.inverse_at(g.images[point]), degree)
         for i, lvl in enumerate(levels)
         for point, u in sorted(lvl.transversal.items())
         for g in _gens_from(levels, i)
@@ -406,6 +418,20 @@ def _first_open_cell(lab: list[int], size: list[int]) -> Optional[int]:
     return None
 
 
+def _twin_swap(rows: Sequence[Sequence[int]], a: int, b: int) -> Optional[Permutation]:
+    """The transposition (a b), for a < b, when a and b are twins of the
+    symmetric matrix: their rows agree at every position but a and b.  The
+    search asks only for points of one cell of an equitable partition, whose
+    rows hold the same multiset of entries, so their diagonal entries agree
+    too and the swap preserves the matrix.  Three slice comparisons, O(n)."""
+    ra, rb = rows[a], rows[b]
+    if ra[:a] != rb[:a] or ra[a + 1 : b] != rb[a + 1 : b] or ra[b + 1 :] != rb[b + 1 :]:
+        return None
+    images = list(range(len(ra)))
+    images[a], images[b] = b, a
+    return Permutation._unchecked(tuple(images))
+
+
 def isometries(matrix: DistanceMatrix) -> PermutationGroup:
     """The full group of index permutations preserving every matrix entry.
 
@@ -418,10 +444,14 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
     earlier.  A candidate's subtree is searched depth first, pruning every
     node whose refinement trace departs from the first path's, and a leaf
     yields the permutation carrying the first leaf onto it, emitted only if
-    it preserves the whole matrix.  The generators found at each level and
+    it preserves the whole matrix.  A candidate that is a twin of the base
+    point (their rows agree off the two points) needs no search: swapping
+    the two preserves the matrix and fixes the base points above, so the
+    transposition is the generator.  The generators found at each level and
     below have the base point's orbit as transversal, so the result carries
     a ready stabilizer chain.  The search visits at most
-    ``SEARCH_NODE_CAP`` refinement nodes, else raises ``GroupTooLarge``.
+    ``SEARCH_NODE_CAP`` refinement nodes, else raises ``GroupTooLarge``; a
+    twin's transposition visits none, so it does not count against the cap.
     """
     n, rows = matrix.n, matrix.rows
     if n <= 1:
@@ -498,7 +528,7 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
         for c in sorted(lab[s : s + size[s]]):
             if c in skip:
                 continue
-            g = find(level, c)
+            g = _twin_swap(rows, lvl.base, c) or find(level, c)
             if g is None:
                 refuted.append(c)
             else:

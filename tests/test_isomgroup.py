@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -84,6 +85,26 @@ def test_chain_order_matches_enumeration_for_random_groups():
             gens.append(Permutation(images))
         group = PermutationGroup(degree, gens)
         assert group.order() == len(group.elements(10_000))
+
+
+def test_schreier_sims_chain_pinned():
+    """The chain of a group given by generators, fixed literally: each sift
+    divides by the kept inverse of the transversal element at the point it
+    reaches, so a stale or wrong inverse changes the residues that join the
+    chain even when the order stays 120."""
+    group = PermutationGroup(5, [perm(0, 1, 2, 4, 3), perm(1, 4, 3, 0, 2), perm(0, 3, 4, 2, 1)])
+    assert group.order() == 120
+    chain = group._ensure_chain()
+    assert [(lvl.base, [list(g.images) for g in lvl.introduced]) for lvl in chain] == [
+        (3, [[0, 1, 2, 4, 3], [1, 4, 3, 0, 2]]),
+        (0, [[4, 2, 1, 3, 0], [2, 0, 4, 3, 1]]),
+        (1, [[0, 2, 1, 3, 4]]),
+        (2, [[0, 1, 4, 3, 2]]),
+    ]
+    for lvl in chain:
+        for point, u in lvl.transversal.items():
+            assert u(lvl.base) == point
+            assert (u * lvl.inverse_at(point)).is_identity()
 
 
 def test_isometries_two_point_space():
@@ -392,11 +413,18 @@ def _disjoint_union(g, h):
     return SimpleGraph.from_edges(g.n + h.n, [*g.edges, *((a + g.n, b + g.n) for a, b in h.edges)])
 
 
+@functools.lru_cache(maxsize=None)
+def _theorem6_matrix(layers, theta):
+    return distance_matrix(list(theorem6_language(layers)), Weights(1, theta))
+
+
 def test_search_refine_calls_pinned(monkeypatch):
     """The number of refinements each search runs, fixed literally: a change
     that only makes the search retry candidates keeps every group but fails
     here.  Only on the disjoint unions does the skip set save work by
-    covering the orbits of refuted candidates."""
+    covering the orbits of refuted candidates.  On theorem6 every twin's
+    transposition is emitted without a search, so the count grows linearly
+    in the layers: 10, 65 and 145 calls at 3, 8 and 12 layers."""
     from isolev import isomgroup
 
     calls = 0
@@ -408,19 +436,90 @@ def test_search_refine_calls_pinned(monkeypatch):
         return refine(*args)
 
     monkeypatch.setattr(isomgroup, "_refine", counting)
-    w = Weights(1, Fraction(3, 2))
+    theta = Fraction(3, 2)
     cases = [
-        (lambda: isometries(distance_matrix(list(theorem6_language(3)), w)), 55),
-        (lambda: isometries(distance_matrix(list(theorem6_language(8)), w)), 2145),
+        (lambda: isometries(_theorem6_matrix(3, theta)), 10),
+        (lambda: isometries(_theorem6_matrix(8, theta)), 65),
+        (lambda: isometries(_theorem6_matrix(12, theta)), 145),
         (lambda: graph_automorphisms(catalog_graph("petersen")), 15),
         (lambda: graph_automorphisms(
-            _disjoint_union(generalized_petersen(3, 1), catalog_graph("k33"))), 39),
+            _disjoint_union(generalized_petersen(3, 1), catalog_graph("k33"))), 29),
         (lambda: graph_automorphisms(
             _disjoint_union(generalized_petersen(8, 1), generalized_petersen(8, 3))), 27),
     ]
     counts = []
     for search, _ in cases:
+        _theorem6_matrix(12, theta)  # built outside the count
         calls = 0
         search()
         counts.append(calls)
     assert counts == [pinned for _, pinned in cases]
+
+
+def test_theorem6_closed_form():
+    """Layer i of theorem6 is a class of 2i twins, so the group is the
+    product of the symmetric groups S_2i, at every substitution weight."""
+    thetas = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+    cases = [(layers, theta) for layers in range(1, 9) for theta in thetas]
+    for layers, theta in cases + [(12, Fraction(3, 2))]:
+        group = isometries(_theorem6_matrix(layers, theta))
+        assert group.order() == math.prod(math.factorial(2 * i) for i in range(1, layers + 1))
+        assert group.orbits().sizes() == tuple(range(2, 2 * layers + 1, 2))
+
+
+def test_solver_matches_brute_on_planted_twins():
+    """Random metric matrices with planted twin classes and near-twins.
+    Near-twins u, v differ at one third point x, where refinement parts
+    them, or at two, x and y, where v holds u's two entries swapped and x, y
+    are near-twins in the same way.  Then (u v)(x y) is an isometry but
+    (u v) is not, and x, y lie before, between or after u and v, so a twin
+    test that skips any part of the rows emits a false generator."""
+    rng = random.Random(12)
+    palettes = [(1, 2), (1, 2, 2, 2), (1, 1, 1, 2), (2, 3, 4)]
+    for trial in range(40):
+        n = rng.randint(4, 8) if trial % 20 else 9
+        palette = rng.choice(palettes)
+        m = _random_matrix(rng, n, palette)
+        rows = [list(row) for row in m.rows]
+
+        def copy_row(src, dst):
+            for x in range(n):
+                if x not in (src, dst):
+                    rows[dst][x] = rows[x][dst] = rows[src][x]
+
+        def put(a, b, d):
+            rows[a][b] = rows[b][a] = d
+
+        points = list(range(n))
+        rng.shuffle(points)
+        low, high = sorted(set(palette))[:2]
+        if trial % 3 == 1:
+            u, v, x = points[:3]
+            del points[:3]
+            copy_row(u, v)
+            put(u, x, low)
+            put(v, x, high)
+        elif trial % 3 == 2:
+            p = sorted(points[:4])
+            del points[:4]
+            # x and y before, between or after u and v
+            orders = ((2, 3, 0, 1), (0, 3, 1, 2), (0, 1, 2, 3))
+            u, v, x, y = (p[i] for i in orders[trial // 3 % 3])
+            copy_row(u, v)
+            copy_row(x, y)
+            put(u, x, low)
+            put(v, y, low)
+            put(u, y, high)
+            put(v, x, high)
+        while len(points) >= 2 and rng.random() < 0.7:
+            k = rng.randint(2, len(points))
+            twins, points = points[:k], points[k:]
+            for dst in twins[1:]:
+                copy_row(twins[0], dst)
+        m = DistanceMatrix(m.words, tuple(map(tuple, rows)))
+        m.validate()
+        a, b = isometries(m), isometries_brute(m)
+        assert a.order() == b.order()
+        assert same_group(a, b)
+        for g in a.generators:
+            assert all(rows[g(i)][g(j)] == rows[i][j] for i in range(n) for j in range(n))
