@@ -34,7 +34,7 @@ class DegreeMismatch(ValueError):
 
 
 class GroupTooLarge(ValueError):
-    """Element enumeration or the isometry search would exceed its cap."""
+    """The isometry search would exceed its node cap."""
 
 
 class Permutation:
@@ -189,13 +189,13 @@ def _sift(levels: list[_ChainLevel], p: Permutation) -> tuple[Permutation, int]:
     return p, len(levels)
 
 
-def _place(levels: list[_ChainLevel], p: Permutation, degree: int) -> bool:
+def _place(levels: list[_ChainLevel], p: Permutation, degree: int) -> None:
     """Sift p into the chain.  A non-identity residue joins the level where
     the sift stopped, or a new level at its smallest moved point, and the
-    transversals of levels 0..at are recomputed; True when the chain grew."""
+    transversals of levels 0..at are recomputed."""
     residue, at = _sift(levels, p)
     if residue.is_identity():
-        return False
+        return
     if at == len(levels):
         base = min(k for k in range(degree) if residue(k) != k)
         levels.append(_ChainLevel(base))
@@ -203,65 +203,28 @@ def _place(levels: list[_ChainLevel], p: Permutation, degree: int) -> bool:
     # Only the transversals of levels 0..at use generators introduced at `at`.
     for i in range(at + 1):
         _recompute_transversal(levels, i, degree)
-    return True
-
-
-def _build_chain(degree: int, generators: Iterable[Permutation]) -> list[_ChainLevel]:
-    """Deterministic Schreier-Sims with full re-verification after every
-    addition; base points are the smallest moved points, in natural order."""
-    levels: list[_ChainLevel] = []
-    for g in generators:
-        _place(levels, g, degree)
-    # A Schreier generator u·g·t⁻¹, with t the transversal element at the
-    # image of the base under u·g, which is g(point).
-    while any(
-        _place(levels, u * g * lvl.inverse_at(g.images[point]), degree)
-        for i, lvl in enumerate(levels)
-        for point, u in sorted(lvl.transversal.items())
-        for g in _gens_from(levels, i)
-    ):
-        pass
-    return levels
 
 
 class PermutationGroup:
-    """Finitely generated permutation group on 0..degree-1.
+    """Permutation group on 0..degree-1, held as the complete stabilizer
+    chain that its builder grew; the generators are the chain's strong
+    generators."""
 
-    The stabilizer chain is built lazily and deterministically; building it
-    twice yields the same chain, so concurrent readers are safe.
-    """
-
-    def __init__(
-        self,
-        degree: int,
-        generators: Iterable[Permutation],
-        _chain: Optional[list[_ChainLevel]] = None,
-    ):
-        gens = []
-        for g in generators:
-            if g.degree != degree:
-                raise DegreeMismatch(f"generator degree {g.degree} in group of degree {degree}")
-            if not g.is_identity():
-                gens.append(g)
+    def __init__(self, degree: int, chain: list[_ChainLevel]):
         self.degree = degree
-        self.generators = tuple(dict.fromkeys(gens))
-        self._chain = _chain
-
-    def _ensure_chain(self) -> list[_ChainLevel]:
-        if self._chain is None:
-            self._chain = _build_chain(self.degree, self.generators)
-        return self._chain
+        self.generators = tuple(_gens_from(chain, 0))
+        self._chain = chain
 
     def order(self) -> int:
         result = 1
-        for lvl in self._ensure_chain():
+        for lvl in self._chain:
             result *= len(lvl.transversal)
         return result
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatch(f"permutation degree {p.degree}, group degree {self.degree}")
-        residue, _ = _sift(self._ensure_chain(), p)
+        residue, _ = _sift(self._chain, p)
         return residue.is_identity()
 
     def orbits(self) -> OrbitPartition:
@@ -275,26 +238,6 @@ class PermutationGroup:
                 seen[point] = True
             blocks.append(tuple(sorted(block)))
         return OrbitPartition(tuple(blocks))
-
-    def elements(self, cap: int) -> list[Permutation]:
-        """Every element, by breadth-first closure over the generators."""
-        if cap < 1:
-            raise ValueError("cap must be at least 1")
-        ident = Permutation.identity(self.degree)
-        found = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in self.generators:
-                    q = p * g
-                    if q not in found:
-                        found.add(q)
-                        if len(found) > cap:
-                            raise GroupTooLarge(f"group exceeds cap {cap}")
-                        nxt.append(q)
-            frontier = nxt
-        return sorted(found, key=lambda p: p.images)
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, generators={len(self.generators)})"
@@ -539,14 +482,14 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
             levels.insert(0, lvl)
     for i in range(len(levels)):
         _recompute_transversal(levels, i, n)
-    return PermutationGroup(n, _gens_from(levels, 0), _chain=levels)
+    return PermutationGroup(n, levels)
 
 
 def isometries_brute(matrix: DistanceMatrix) -> PermutationGroup:
     """Oracle: test all n! permutations entry by entry and sift each
     preserving one into a stabilizer chain.  Every group element passes
-    through the chain, so it is complete without a Schreier-Sims pass; the
-    group carries it and its strong generators, at most n(n-1)/2 of them."""
+    through the chain, so it is complete; the group carries it and its
+    strong generators, at most n(n-1)/2 of them."""
     n, rows = matrix.n, matrix.rows
     if n > BRUTE_MAX_DEGREE:
         raise DegreeTooLarge(f"brute force supports at most {BRUTE_MAX_DEGREE} points, got {n}")
@@ -564,7 +507,7 @@ def isometries_brute(matrix: DistanceMatrix) -> PermutationGroup:
                 break
         if ok:
             _place(levels, Permutation._unchecked(images), n)
-    return PermutationGroup(n, _gens_from(levels, 0), _chain=levels)
+    return PermutationGroup(n, levels)
 
 
 def graph_automorphisms(graph) -> PermutationGroup:

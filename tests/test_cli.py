@@ -461,6 +461,9 @@ def test_construct_from_graph_file(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "theorem2", "--graph", str(graph_file),
                        "--out", str(tmp_path / "x.lang"))
     assert code == 2 and "degree sequence" in err
+    code, out, err = run(capsys, "construct", "theorem2", "--graph", str(tmp_path / "nosuch"))
+    assert code == 2 and out == ""
+    assert err == f"error: no such graph file or catalog name: {str(tmp_path / 'nosuch')!r}\n"
 
 
 def test_construct_lemma5(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,8 +32,10 @@ def test_simple_graph_validation():
         SimpleGraph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         SimpleGraph.from_edges(3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("edge (0, 2) out of range for 2 vertices")):
         SimpleGraph(2, ((0, 2),))
+    with pytest.raises(ValueError, match="edges must be strictly sorted pairs; use from_edges"):
+        SimpleGraph(3, ((1, 2), (0, 1)))
     g = SimpleGraph.from_edges(3, [(2, 1), (0, 1)])
     assert g.edges == ((0, 1), (1, 2))
     assert g.degrees() == (1, 2, 1)
@@ -45,18 +48,25 @@ def test_graph_format_parses_literal_edge_list():
 
 
 def test_graph_parse_errors():
-    with pytest.raises(GraphFormatError):
-        parse_graph("e 1 2\n")
-    with pytest.raises(GraphFormatError):
-        parse_graph("p 3 1\n")  # missing edge line
-    with pytest.raises(GraphFormatError):
-        parse_graph("p 3 2\ne 1 2\ne 2 1\n")  # duplicate edge
-    with pytest.raises(GraphFormatError):
-        parse_graph("p 3 1\ne 1 4\n")
-    with pytest.raises(GraphFormatError):
-        parse_graph("p 3 1\ne 1 1\n")
-    with pytest.raises(GraphFormatError):
-        parse_graph("q 3 1\n")
+    # (file text, message); line numbers count comment and blank lines too
+    table = [
+        ("e 1 2\n", "line 1: edge before header"),
+        ("p 2 0\nc again\np 2 0\n", "line 3: second header line"),
+        ("c header\n\np 3\n", "line 3: expected 'p <n> <m>'"),
+        ("p three 1\n", "line 1: non-integer header"),
+        ("p -1 0\n", "line 1: negative counts"),
+        ("p 3 1\ne 1 2 3\n", "line 2: expected 'e <u> <v>'"),
+        ("p 3 1\ne 1 x\n", "line 2: non-integer endpoints"),
+        ("p 3 1\ne 1 4\n", "line 2: vertex out of range"),
+        ("p 3 1\ne 1 1\n", "line 2: loop at vertex 1"),
+        ("p 3 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge"),
+        ("q 3 1\n", "line 1: unknown line 'q 3 1'"),
+        ("c no header\n", "missing 'p <n> <m>' header"),
+        ("p 3 1\n", "header claims 1 edges, file has 0"),
+    ]
+    for text, message in table:
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            parse_graph(text)
 
 
 def test_catalog_contents():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -267,9 +268,22 @@ def test_distance_matrix_rejects_duplicates():
 def test_matrix_validate_catches_bad_tables():
     good = distance_matrix(["", "0", "01"])
     good.validate()
-    broken = DistanceMatrix(good.words, ((0, 1, 2), (1, 0, 1), (2, 2, 0)))
-    with pytest.raises(ValueError):
-        broken.validate()
-    lopsided = DistanceMatrix(good.words, ((0, 9, 1), (9, 0, 1), (1, 1, 0)))
-    with pytest.raises(ValueError):
-        lopsided.validate()
+    words = good.words
+    # (labels, rows, denominator, error, message): one row per rejection
+    table = [
+        (("a", "b", "a"), good.rows, 1, DuplicateWords, "matrix labels are not distinct"),
+        (words, good.rows[:2], 1, ValueError, "entries are not an n-by-n table"),
+        (words, ((0, 1, 2), (1, 0), (2, 1, 0)), 1, ValueError, "entries are not an n-by-n table"),
+        (words, ((0, 1, 2), (1, 0, Fraction(1, 2)), (2, 1, 0)), 1, ValueError,
+         "entries are not integers over a positive denominator"),
+        (words, good.rows, 0, ValueError, "entries are not integers over a positive denominator"),
+        (words, ((0, 1, 1), (1, 2, 1), (1, 1, 0)), 1, ValueError, "nonzero diagonal at 1"),
+        (words, ((0, 1, 2), (1, 0, 1), (2, 2, 0)), 1, ValueError, "asymmetric entries at (1, 2)"),
+        (words, ((0, 0, 1), (0, 0, 1), (1, 1, 0)), 1, ValueError,
+         "non-positive off-diagonal at (0, 1)"),
+        (words, ((0, 9, 1), (9, 0, 1), (1, 1, 0)), 1, ValueError,
+         "triangle inequality fails at (0, 1, 2)"),
+    ]
+    for labels, rows, den, error, message in table:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            DistanceMatrix(labels, rows, den).validate()

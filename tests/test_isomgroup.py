@@ -17,7 +17,6 @@ from isolev.editdist import DistanceMatrix, Weights, distance_matrix
 from isolev.isomgroup import (
     DegreeMismatch,
     DegreeTooLarge,
-    GroupTooLarge,
     Permutation,
     PermutationGroup,
     _root_partition,
@@ -45,62 +44,53 @@ def test_permutation_basics():
 
 
 def test_group_order_examples():
-    s4 = PermutationGroup(4, [perm(1, 0, 2, 3), perm(1, 2, 3, 0)])
-    assert s4.order() == 24
-    assert PermutationGroup(5, []).order() == 1
+    # four equidistant words give S4; distances 1, 3, 7, 15 apart give no symmetry
+    assert isometries(distance_matrix(["a", "b", "c", "d"])).order() == 24
+    rigid = distance_matrix(unary_language([0, 1, 3, 7, 15]))
+    assert isometries(rigid).order() == 1
+    assert isometries_brute(rigid).order() == 1
+
+
+def _matrix(*rows):
+    return DistanceMatrix(tuple(map(str, range(len(rows)))), rows)
 
 
 def test_contains():
-    c3 = PermutationGroup(3, [perm(1, 2, 0)])
-    assert c3.contains(Permutation.identity(3))
-    assert not c3.contains(perm(1, 0, 2))
+    # points 0 and 1 are twins, point 2 is fixed
+    swap = isometries(_matrix((0, 1, 2), (1, 0, 2), (2, 2, 0)))
+    assert [g.images for g in swap.generators] == [(1, 0, 2)]
+    assert swap.contains(Permutation.identity(3))
+    assert swap.contains(perm(1, 0, 2))
+    assert not swap.contains(perm(0, 2, 1))
+    assert not swap.contains(perm(1, 2, 0))
     with pytest.raises(DegreeMismatch):
-        c3.contains(Permutation.identity(4))
-
-
-def test_elements_and_cap():
-    c3 = PermutationGroup(3, [perm(1, 2, 0)])
-    assert len(c3.elements(10)) == 3
-    assert PermutationGroup(2, []).elements(5) == [Permutation.identity(2)]
-    with pytest.raises(GroupTooLarge):
-        PermutationGroup(4, [perm(1, 0, 2, 3), perm(1, 2, 3, 0)]).elements(10)
+        swap.contains(Permutation.identity(4))
 
 
 def test_orbits():
-    trivial = PermutationGroup(3, [])
+    trivial = isometries(distance_matrix(unary_language([0, 1, 3])))
     assert trivial.orbits().blocks == ((0,), (1,), (2,))
-    g = PermutationGroup(4, [perm(1, 0, 2, 3)])
+    g = isometries(_matrix((0, 1, 3, 4), (1, 0, 3, 4), (3, 3, 0, 5), (4, 4, 5, 0)))
     assert g.orbits().blocks == ((0, 1), (2,), (3,))
     assert g.orbits().sizes() == (2, 1, 1)
 
 
-def test_chain_order_matches_enumeration_for_random_groups():
-    rng = random.Random(2024)
-    for _ in range(30):
-        degree = rng.randint(2, 6)
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            images = list(range(degree))
-            rng.shuffle(images)
-            gens.append(Permutation(images))
-        group = PermutationGroup(degree, gens)
-        assert group.order() == len(group.elements(10_000))
-
-
-def test_schreier_sims_chain_pinned():
-    """The chain of a group given by generators, fixed literally: each sift
-    divides by the kept inverse of the transversal element at the point it
-    reaches, so a stale or wrong inverse changes the residues that join the
-    chain even when the order stays 120."""
-    group = PermutationGroup(5, [perm(0, 1, 2, 4, 3), perm(1, 4, 3, 0, 2), perm(0, 3, 4, 2, 1)])
+def test_oracle_chain_pinned():
+    """The brute-force oracle's chain for five equidistant words, fixed
+    literally: each sift divides by the kept inverse of the transversal
+    element at the point it reaches, so a stale inverse, or a transversal
+    left unrecomputed, changes the residues that join the chain even when
+    the order stays 120."""
+    group = isometries_brute(distance_matrix(["a", "b", "c", "d", "e"]))
     assert group.order() == 120
-    chain = group._ensure_chain()
+    chain = group._chain
     assert [(lvl.base, [list(g.images) for g in lvl.introduced]) for lvl in chain] == [
-        (3, [[0, 1, 2, 4, 3], [1, 4, 3, 0, 2]]),
-        (0, [[4, 2, 1, 3, 0], [2, 0, 4, 3, 1]]),
-        (1, [[0, 2, 1, 3, 4]]),
-        (2, [[0, 1, 4, 3, 2]]),
+        (3, [[0, 1, 2, 4, 3], [0, 1, 3, 2, 4]]),
+        (2, [[0, 1, 4, 3, 2], [0, 2, 1, 3, 4]]),
+        (1, [[0, 4, 2, 3, 1], [1, 0, 2, 3, 4]]),
+        (0, [[4, 1, 2, 3, 0]]),
     ]
+    assert len(group.generators) == 7
     for lvl in chain:
         for point, u in lvl.transversal.items():
             assert u(lvl.base) == point

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isolev.editdist import DuplicateWords, Weights
-from isolev.isomgroup import Permutation, PermutationGroup, isometries
-from isolev.editdist import distance_matrix
+from isolev.editdist import DistanceMatrix, DuplicateWords, Weights, distance_matrix
+from isolev.isomgroup import PermutationGroup, isometries
 from isolev.langlib import (
     AuditReport,
     FormatError,
@@ -159,7 +158,10 @@ def test_audit_reports_witnesses_for_artificial_group():
     # swap two words of different lengths while the minimal word stays fixed;
     # the audit takes the group as given and must flag the spread
     lang = Language(["0", "00", "000"])
-    group = PermutationGroup(3, [Permutation([0, 2, 1])])
+    # a metric on three points whose only isometry swaps points 1 and 2
+    twins = DistanceMatrix(("x", "y", "z"), ((0, 2, 2), (2, 0, 1), (2, 1, 0)))
+    group = isometries(twins)
+    assert [g.images for g in group.generators] == [(0, 2, 1)]
     report = theorem1_audit(lang, group)
     assert not report.passed
     assert report.bound == 0
