@@ -71,13 +71,16 @@ def _weights(args) -> Weights:
 
 
 def _resolve_graph(token: str):
-    path = Path(token)
-    if path.exists():
-        return load_graph(path)
+    """A catalog name, in any letter case, is the bundled graph even when a
+    file of that name exists; ``./petersen`` reads the file."""
     try:
         return catalog_graph(token)
     except ValueError:
-        raise ValueError(f"no such graph file or catalog name: {token!r}") from None
+        pass
+    path = Path(token)
+    if not path.exists():
+        raise ValueError(f"no such graph file or catalog name: {token!r}")
+    return load_graph(path)
 
 
 def _group_json(group) -> dict:

@@ -10,12 +10,11 @@ values become Fractions only when they are read.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 Rat = Fraction
 RatLike = Union[Rat, int, str]
@@ -26,6 +25,10 @@ ORACLE_MAX_LEN = 7
 # vectors; past it the row DP is faster on all but the longest words
 # (crossover table in CHANGES.md).
 _MAX_BLOCK = 16
+# Longest lane (longest word times block width) for which the matrix packs
+# the whole language into one integer; past it per-pair stripping of shared
+# pads wins (crossover table in CHANGES.md).
+_MAX_LANE = 1024
 
 
 class InputTooLong(ValueError):
@@ -212,6 +215,46 @@ def _lev_scaled(u: str, v: str, g: int, t: int) -> int:
     return e * (g * (len(u) + len(v)) - _lcs_blocks(v, u, 2 * g - t, t))
 
 
+def _packed_lcs(words: list[str], x: int, c: int) -> Iterator[list[int]]:
+    """For words sorted by length, row i is LCS(B(w_i), B(w_j)) of
+    ``_lcs_blocks`` for every j > i, from one walk of w_i.
+
+    Every word gets a lane of block bits, followed by a guard bit, in one
+    integer, and w_i walks over the lanes of the words after it (Hyyrö,
+    Fredriksson & Navarro 2005).  The kernel's step holds lane by lane:
+    m = v & eq is a subset of v, so v - m never borrows, and a carry out of
+    v + m stops in the lane's guard bit, which the mask clears.  A lane's
+    zero bits count its LCS.
+    """
+    k = x + c
+    content = ((1 << c) - 1) << x
+    symbols: dict[str, int] = {}
+    starts = offset = 0
+    offsets = []
+    for w in words:
+        offsets.append(offset)
+        for a, bits in _match_masks(w, k).items():
+            symbols[a] = symbols.get(a, 0) | bits << offset
+        starts |= ((1 << len(w) * k) - 1) // ((1 << k) - 1) << offset
+        offset += len(w) * k + 1
+    # Lane j read off the binary digits of v: they run from the top bit down.
+    spans = [(offset - o - len(w) * k, offset - o) for o, w in zip(offsets, words)]
+    lanes = starts * ((1 << k) - 1)
+    seps = starts * ((1 << x) - 1)
+    for i, p in enumerate(words[:-1]):
+        shift = offsets[i + 1]
+        mask = lanes >> shift
+        sep_steps = (seps >> shift,) * x
+        steps = {a: sep_steps + (symbols[a] * content >> shift,) * c for a in set(p)}
+        v = mask
+        for a in p:
+            for eq in steps[a]:
+                m = v & eq
+                v = ((v + m) | (v - m)) & mask
+        binary = format(v, f"0{offset - shift}b")
+        yield [binary.count("0", lo, hi) for lo, hi in spans[i + 1:]]
+
+
 def lev(u: str, v: str, w: Weights = DEFAULT_WEIGHTS) -> Rat:
     """Exact minimum cost of editing ``u`` into ``v``.
 
@@ -294,7 +337,12 @@ class DistanceMatrix:
         )
 
     def validate(self) -> None:
-        """Check the metric axioms exactly; raise ValueError on any violation."""
+        """Check the metric axioms exactly; raise ValueError on any violation.
+
+        The triangle inequality costs a few big-int operations per pair of
+        rows, on the rows packed into lanes; the first failing pair (i, j)
+        is named with the first k that breaks it.
+        """
         n, rows = self.n, self.rows
         if len(set(self.words)) != n:
             raise DuplicateWords("matrix labels are not distinct")
@@ -313,29 +361,59 @@ class DistanceMatrix:
                     raise ValueError(f"asymmetric entries at ({i}, {j})")
                 if row_i[j] <= 0:
                     raise ValueError(f"non-positive off-diagonal at ({i}, {j})")
-        add = operator.add
+        # Triangle inequality, packed (Lamport 1975): row i is one integer P_i
+        # with one lane of b bits per entry, b a multiple of 4 with
+        # 2*max < 2**(b-1).  The lane of entry k in P_i + P_j + H - d_ij*R
+        # (R = ones, H = high) holds d_ik + d_jk - d_ij + 2**(b-1), so no
+        # lane carries or borrows, and its top bit is clear exactly where
+        # the inequality fails.  Only a flagged pair is scanned for its k.
+        digits = ((2 * max(map(max, rows), default=0)).bit_length() + 4) // 4
+        pack = f"%0{digits}x" * n
+        packed = [int(pack % tuple(row), 16) for row in rows]
+        ones = ((1 << 4 * digits * n) - 1) // ((1 << 4 * digits) - 1)
+        high = ones << 4 * digits - 1
         for i in range(n):
             row_i = rows[i]
+            base = packed[i] + high
             for j in range(i + 1, n):
-                row_j = rows[j]
                 dij = row_i[j]
-                if dij > min(map(add, row_i, row_j)):
+                if (base + packed[j] - dij * ones) & high != high:
+                    row_j = rows[j]
                     k = next(k for k in range(n) if dij > row_i[k] + row_j[k])
                     raise ValueError(f"triangle inequality fails at ({i}, {j}, {k})")
 
 
 def distance_matrix(words: Iterable[str], w: Weights = DEFAULT_WEIGHTS) -> DistanceMatrix:
-    """Pairwise `lev` distances for distinct words, in the given order."""
+    """Pairwise `lev` distances for distinct words, in the given order.
+
+    With the weights over their gcd e, the kernel's block width is k = 2g
+    for t < 2g and k = 1 otherwise.  When k <= ``_MAX_BLOCK`` and the longest
+    word spans at most ``_MAX_LANE`` bits (its length times k), the words
+    are packed into one integer and each row is one walk (``_packed_lcs``);
+    otherwise every pair runs `_lev_scaled`, whose affix stripping wins on
+    long words that share long pads.
+    """
     labels = tuple(words)
     if len(set(labels)) != len(labels):
         raise DuplicateWords("distance matrix needs distinct words")
     g, t, den = w._scaled
     n = len(labels)
     rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        u, row_i = labels[i], rows[i]
-        for j in range(i + 1, n):
-            row_i[j] = rows[j][i] = _lev_scaled(u, labels[j], g, t)
+    e = math.gcd(g, t)
+    # lev = g*(|u| + |v|) - unit*LCS, by the identity of `_lcs_blocks`.
+    x, c, unit = (0, 1, 2 * g) if t >= 2 * g else ((2 * g - t) // e, t // e, e)
+    if x + c <= _MAX_BLOCK and (x + c) * max(map(len, labels), default=0) <= _MAX_LANE:
+        order = sorted(range(n), key=lambda i: len(labels[i]))
+        for i, lcs_row in enumerate(_packed_lcs([labels[i] for i in order], x, c)):
+            a = order[i]
+            row_a, size = rows[a], len(labels[a])
+            for b, lcs in zip(order[i + 1:], lcs_row):
+                row_a[b] = rows[b][a] = g * (size + len(labels[b])) - unit * lcs
+    else:
+        for i in range(n):
+            u, row_i = labels[i], rows[i]
+            for j in range(i + 1, n):
+                row_i[j] = rows[j][i] = _lev_scaled(u, labels[j], g, t)
     matrix = DistanceMatrix(labels, tuple(map(tuple, rows)), den)
     matrix.validate()
     return matrix

@@ -466,6 +466,21 @@ def test_construct_from_graph_file(tmp_path, capsys):
     assert err == f"error: no such graph file or catalog name: {str(tmp_path / 'nosuch')!r}\n"
 
 
+def test_catalog_names_win_over_local_files(tmp_path, capsys, monkeypatch):
+    """A catalog name always means the bundled graph, even where the working
+    directory holds a file or directory of that name; ``./name`` reads it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k4").mkdir()
+    (tmp_path / "petersen").write_text("x\n")
+    for name in ("k4", "K4", "petersen"):
+        code, out, err = run(capsys, "construct", "theorem2", "--graph", name)
+        assert code == 0 and err == "", (name, err)
+        assert out == "".join(w + "\n" for w in isolev.theorem2_language(
+            isolev.catalog_graph(name)))
+    code, out, err = run(capsys, "construct", "theorem2", "--graph", "./petersen")
+    assert code == 2 and out == "" and err == "error: line 1: unknown line 'x'\n"
+
+
 def test_construct_lemma5(tmp_path, capsys):
     base = tmp_path / "pair.lang"
     base.write_text("00\n11\n")

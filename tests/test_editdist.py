@@ -1,11 +1,15 @@
+import math
+import operator
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isolev import editdist
 from isolev.editdist import (
     DistanceMatrix,
     DuplicateWords,
@@ -14,6 +18,7 @@ from isolev.editdist import (
     NormalizedWeights,
     Weights,
     _MAX_BLOCK,
+    _MAX_LANE,
     _lcs_blocks,
     _lev_ints_python,
     _lev_scaled,
@@ -81,6 +86,11 @@ def test_block_kernel_matches_row_dp_on_all_binary_pairs():
                 d = _lev_ints_python(u, v, g, t)
                 assert g * (len(u) + len(v)) - _lcs_blocks(u, v, 2 * g - t, t) == d, (u, v, g, t)
                 assert _lev_scaled(u, v, g, t) == d, (u, v, g, t)
+        # The packed matrix build gives every pair of the 62 nonempty words.
+        rows = distance_matrix(words[1:], Weights(g, t)).rows
+        for i, u in enumerate(words[1:]):
+            for j, v in enumerate(words[1:]):
+                assert rows[i][j] == _lev_ints_python(u, v, g, t), (u, v, g, t)
 
 
 # Alphabets of size 1, 2, 4 and many non-ASCII symbols.
@@ -146,6 +156,29 @@ def test_lev_matches_oracle_at_extreme_rationals(ratio):
 def test_every_regime_matches_reference_property(u, v, weights, scale):
     g, t = weights[0] * scale, weights[1] * scale
     assert _lev_scaled(u, v, g, t) == _lev_ints_python(u, v, g, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(KERNEL_ALPHABETS), st.sampled_from(KERNEL_WEIGHTS),
+       st.sampled_from([1, 3, 10**20]), st.integers(min_value=-2, max_value=2))
+def test_packed_matrix_matches_per_pair_property(data, alphabet, weights, scale, edge):
+    """Whole matrices equal per-pair `_lev_scaled`, with the longest word's
+    lane (its length times the block width) just below or above _MAX_LANE."""
+    g, t = weights[0] * scale, weights[1] * scale
+    e = math.gcd(g, t)
+    block = 1 if t >= 2 * g else 2 * g // e
+    longest = data.draw(st.text(alphabet=alphabet, min_size=_MAX_LANE // block + edge,
+                                max_size=_MAX_LANE // block + edge))
+    words = data.draw(st.lists(st.text(alphabet=alphabet, max_size=12), max_size=8))
+    words = list(dict.fromkeys(words + ["", longest, longest[: len(longest) // 2]]))
+    data.draw(st.randoms()).shuffle(words)
+    with mock.patch.object(editdist, "_packed_lcs", wraps=editdist._packed_lcs) as packed:
+        rows = distance_matrix(words, Weights(g, t)).rows
+    lane = block * max(map(len, words))
+    assert packed.called == (block <= _MAX_BLOCK and lane <= _MAX_LANE), (block, lane)
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            assert rows[i][j] == (_lev_scaled(u, v, g, t) if i != j else 0), (u, v, g, t)
 
 
 def test_hamming():
@@ -263,6 +296,80 @@ def test_distance_matrix_runs_at_theta_two():
 def test_distance_matrix_rejects_duplicates():
     with pytest.raises(DuplicateWords):
         distance_matrix(["a", "a"])
+
+
+def reference_validate(matrix):
+    """The metric check as it ran before the packed triangle check: every
+    pair of rows scanned with ``min(map(add, ...))``."""
+    n, rows = matrix.n, matrix.rows
+    if len(set(matrix.words)) != n:
+        raise DuplicateWords("matrix labels are not distinct")
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError("entries are not an n-by-n table")
+    if type(matrix.den) is not int or matrix.den <= 0 or any(
+        type(x) is not int for row in rows for x in row
+    ):
+        raise ValueError("entries are not integers over a positive denominator")
+    for i in range(n):
+        row_i = rows[i]
+        if row_i[i] != 0:
+            raise ValueError(f"nonzero diagonal at {i}")
+        for j in range(i + 1, n):
+            if row_i[j] != rows[j][i]:
+                raise ValueError(f"asymmetric entries at ({i}, {j})")
+            if row_i[j] <= 0:
+                raise ValueError(f"non-positive off-diagonal at ({i}, {j})")
+    add = operator.add
+    for i in range(n):
+        row_i = rows[i]
+        for j in range(i + 1, n):
+            row_j = rows[j]
+            dij = row_i[j]
+            if dij > min(map(add, row_i, row_j)):
+                k = next(k for k in range(n) if dij > row_i[k] + row_j[k])
+                raise ValueError(f"triangle inequality fails at ({i}, {j}, {k})")
+
+
+def _verdict(check, matrix):
+    try:
+        check(matrix)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=10),
+       st.sampled_from([1, 7, 2**31, 10**20]))
+def test_packed_validate_matches_reference_property(data, n, top):
+    """Random integer tables, mostly metrics (entries in [top, 2*top]), with
+    planted triangle violations, diagonal faults, asymmetries and zero or
+    negative entries: `validate` gives the reference's verdict and message."""
+    entry = st.integers(min_value=top, max_value=2 * top)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(entry)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for _ in range(data.draw(st.integers(0, 3))):
+        (i, j), kind = data.draw(cell), data.draw(st.sampled_from(
+            ["far", "far", "near", "tight", "diagonal", "asymmetric", "zero"]))
+        if kind in ("far", "near", "tight") and i != j:
+            # The shortest path through a third point, one past it, or
+            # anywhere up to 5*top.
+            bound = min((rows[i][k] + rows[j][k] for k in range(n) if k not in (i, j)),
+                        default=top)
+            far = data.draw(st.integers(top, 5 * top))
+            d = far if kind == "far" else bound + (kind == "near")
+            rows[i][j] = rows[j][i] = d
+        elif kind == "diagonal":
+            rows[i][i] = data.draw(st.integers(-top, top))
+        elif kind == "asymmetric" and i != j:
+            rows[i][j] += data.draw(st.sampled_from([-1, 1, top]))
+        elif kind == "zero" and i != j:
+            rows[i][j] = rows[j][i] = data.draw(st.integers(-top, 0))
+    matrix = DistanceMatrix(tuple(map(str, range(n))), tuple(map(tuple, rows)))
+    assert _verdict(DistanceMatrix.validate, matrix) == _verdict(reference_validate, matrix)
 
 
 def test_matrix_validate_catches_bad_tables():
