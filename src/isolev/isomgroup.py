@@ -122,23 +122,33 @@ class OrbitPartition:
 
 
 class _ChainLevel:
-    """One level of a stabilizer chain.  ``transversal`` maps each point of
-    the base's orbit to an element carrying the base onto the point;
-    ``inverses`` keeps an element's inverse from its first use until the
-    transversal is recomputed, so a sift inverts nothing it inverted before."""
+    """One level of a stabilizer chain.  ``schreier`` is the Schreier vector
+    of the base's orbit under the generators at this level and below: the
+    base maps to None, each other point to (parent, generator).  ``inverses``
+    keeps each inverse that a sift multiplied out until the vector is rebuilt."""
 
-    __slots__ = ("base", "introduced", "transversal", "inverses")
+    __slots__ = ("base", "introduced", "schreier", "inverses")
 
     def __init__(self, base: int):
         self.base = base
         self.introduced: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
+        self.schreier: dict[int, Optional[tuple[int, Permutation]]] = {}
         self.inverses: dict[int, Permutation] = {}
 
+    def rebuild(self, movers: dict[int, list[Permutation]]) -> None:
+        self.schreier = _orbit({self.base: None}, movers, [self.base])
+        self.inverses = {}
+
     def inverse_at(self, point: int) -> Permutation:
+        """Inverse of the tree's path from the base to point (not the base)."""
+        path = []
+        while point not in self.inverses and point != self.base:
+            path.append(point)
+            point = self.schreier[point][0]
         inv = self.inverses.get(point)
-        if inv is None:
-            inv = self.inverses[point] = self.transversal[point].inverse()
+        for point in reversed(path):
+            step = self.schreier[point][1].inverse()
+            inv = self.inverses[point] = step if inv is None else step * inv
         return inv
 
 
@@ -146,35 +156,26 @@ def _gens_from(levels: list[_ChainLevel], start: int) -> list[Permutation]:
     return [g for lvl in levels[start:] for g in lvl.introduced]
 
 
-def _orbit(points: Iterable[int], gens: Sequence[Permutation]) -> set[int]:
-    """Union of the orbits of the given points under the generators."""
-    seen = set(points)
-    queue = list(seen)
+def _movers(movers: dict[int, list[Permutation]], gens: Iterable[Permutation]) -> dict:
+    """File each generator, in order, under every point it moves."""
+    for g in gens:
+        for p, q in enumerate(g.images):
+            if p != q:
+                movers.setdefault(p, []).append(g)
+    return movers
+
+
+def _orbit(vector: dict, movers: dict[int, list[Permutation]], queue: list[int]) -> dict:
+    """Grow a Schreier vector breadth first from queued points it holds; a new
+    point maps to (parent, generator) and joins the queue.  From each point it
+    follows the generators filed under it: its movers, or any superset."""
     for point in queue:
-        for g in gens:
+        for g in movers.get(point, ()):
             image = g.images[point]
-            if image not in seen:
-                seen.add(image)
+            if image not in vector:
+                vector[image] = (point, g)
                 queue.append(image)
-    return seen
-
-
-def _recompute_transversal(levels: list[_ChainLevel], i: int, degree: int) -> None:
-    """Orbit BFS from the base of level i over the generators at i and below;
-    each orbit point maps to a product carrying the base onto it."""
-    lvl = levels[i]
-    gens = _gens_from(levels, i)
-    trans = {lvl.base: Permutation.identity(degree)}
-    queue = [lvl.base]
-    for point in queue:
-        u = trans[point]
-        for g in gens:
-            npt = g.images[point]
-            if npt not in trans:
-                trans[npt] = u * g
-                queue.append(npt)
-    lvl.transversal = trans
-    lvl.inverses = {}
+    return vector
 
 
 def _sift(levels: list[_ChainLevel], p: Permutation) -> tuple[Permutation, int]:
@@ -183,7 +184,7 @@ def _sift(levels: list[_ChainLevel], p: Permutation) -> tuple[Permutation, int]:
         target = p(lvl.base)
         if target == lvl.base:
             continue
-        if target not in lvl.transversal:
+        if target not in lvl.schreier:
             return p, i
         p = p * lvl.inverse_at(target)
     return p, len(levels)
@@ -192,7 +193,7 @@ def _sift(levels: list[_ChainLevel], p: Permutation) -> tuple[Permutation, int]:
 def _place(levels: list[_ChainLevel], p: Permutation, degree: int) -> None:
     """Sift p into the chain.  A non-identity residue joins the level where
     the sift stopped, or a new level at its smallest moved point, and the
-    transversals of levels 0..at are recomputed."""
+    orbits of levels 0..at are rebuilt over their generators in chain order."""
     residue, at = _sift(levels, p)
     if residue.is_identity():
         return
@@ -200,9 +201,9 @@ def _place(levels: list[_ChainLevel], p: Permutation, degree: int) -> None:
         base = min(k for k in range(degree) if residue(k) != k)
         levels.append(_ChainLevel(base))
     levels[at].introduced.append(residue)
-    # Only the transversals of levels 0..at use generators introduced at `at`.
+    # Only the orbits of levels 0..at use generators introduced at `at`.
     for i in range(at + 1):
-        _recompute_transversal(levels, i, degree)
+        levels[i].rebuild(_movers({}, _gens_from(levels, i)))
 
 
 class PermutationGroup:
@@ -218,7 +219,7 @@ class PermutationGroup:
     def order(self) -> int:
         result = 1
         for lvl in self._chain:
-            result *= len(lvl.transversal)
+            result *= len(lvl.schreier)
         return result
 
     def contains(self, p: Permutation) -> bool:
@@ -228,15 +229,15 @@ class PermutationGroup:
         return residue.is_identity()
 
     def orbits(self) -> OrbitPartition:
-        seen = [False] * self.degree
-        blocks = []
+        # One pass over every generator at each point; an index of movers costs more.
+        movers = dict.fromkeys(range(self.degree), self.generators)
+        vector, blocks = {}, []
         for start in range(self.degree):
-            if seen[start]:
-                continue
-            block = _orbit([start], self.generators)
-            for point in block:
-                seen[point] = True
-            blocks.append(tuple(sorted(block)))
+            if start not in vector:
+                vector[start] = None
+                orbit = [start]
+                _orbit(vector, movers, orbit)  # leaves the orbit's points in its queue
+                blocks.append(tuple(sorted(orbit)))
         return OrbitPartition(tuple(blocks))
 
     def __repr__(self) -> str:
@@ -390,11 +391,10 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
     it preserves the whole matrix.  A candidate that is a twin of the base
     point (their rows agree off the two points) needs no search: swapping
     the two preserves the matrix and fixes the base points above, so the
-    transposition is the generator.  The generators found at each level and
-    below have the base point's orbit as transversal, so the result carries
-    a ready stabilizer chain.  The search visits at most
-    ``SEARCH_NODE_CAP`` refinement nodes, else raises ``GroupTooLarge``; a
-    twin's transposition visits none, so it does not count against the cap.
+    transposition is the generator.  Each chain level keeps the Schreier
+    vector of its base point's orbit, so the search multiplies no
+    permutations.  It visits at most ``SEARCH_NODE_CAP`` refinement nodes,
+    else raises ``GroupTooLarge``; a twin's transposition visits none.
     """
     n, rows = matrix.n, matrix.rows
     if n <= 1:
@@ -460,28 +460,27 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
             stack.append((lv + 1, xlab, xsize, iter(xlab[t : t + xsize[t]])))
         return None
 
-    gens: list[Permutation] = []
+    # The generators found so far, filed by moved point; all fix the bases above the level.
+    movers: dict[int, list[Permutation]] = {}
     levels: list[_ChainLevel] = []
     for level in reversed(range(depth)):
         lvl = _ChainLevel(bases[level])
         lab, size = path[level]
         s = cells[level]
-        refuted: list[int] = []
-        skip = {lvl.base}
+        skip: dict = {lvl.base: None}  # orbits of the base and of refuted candidates
         for c in sorted(lab[s : s + size[s]]):
             if c in skip:
                 continue
             g = _twin_swap(rows, lvl.base, c) or find(level, c)
             if g is None:
-                refuted.append(c)
+                skip[c] = None
+                _orbit(skip, movers, [c])
             else:
-                gens.append(g)
                 lvl.introduced.append(g)
-            skip = _orbit([lvl.base, *refuted], gens)
+                _orbit(skip, _movers(movers, [g]), [p for p in skip if g.images[p] != p])
         if lvl.introduced:
+            lvl.rebuild(movers)
             levels.insert(0, lvl)
-    for i in range(len(levels)):
-        _recompute_transversal(levels, i, n)
     return PermutationGroup(n, levels)
 
 

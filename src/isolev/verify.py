@@ -390,22 +390,25 @@ def _check_layered(claim, params, wit: _Witnesses, lang: Language, theta, within
     if lengths is not None and layer_lengths != lengths:
         wit.add(f"layer lengths {layer_lengths}, wanted {lengths}")
     place = {a: (la, i) for la, layer in enumerate(layers) for i, a in enumerate(layer)}
-    within_max, cross_min = Rat(0), None
-    for a in range(len(lang)):
+    # Entries compare as integers over den; only a witness's text builds Fractions.
+    den = matrix.den
+    within_max, cross_min = 0, None
+    for a, row in enumerate(matrix.rows):
         la, i = place[a]
         for b in range(a + 1, len(lang)):
             lb, j = place[b]
-            got = matrix.entry(a, b)
+            got = row[b]
             if la == lb:
-                expect = Rat(within[la](i, j))
+                expect = within[la](i, j)
                 within_max = max(within_max, got)
             else:
-                expect = Rat(abs(len(lang[a]) - len(lang[b])))
+                expect = abs(len(lang[a]) - len(lang[b]))
                 cross_min = got if cross_min is None else min(cross_min, got)
-            if got != expect:
-                wit.add(f"lev(#{a}, #{b}) = {got}, wanted {expect}")
+            if got != expect * den:
+                wit.add(f"lev(#{a}, #{b}) = {Rat(got, den)}, wanted {Rat(expect)}")
     if cross_min is not None and within_max >= cross_min:
-        wit.add(f"layer separation fails: max within {within_max} >= min cross {cross_min}")
+        wit.add(f"layer separation fails: max within {Rat(within_max, den)} "
+                f">= min cross {Rat(cross_min, den)}")
     group = isometries(matrix)
     orbit_sizes = sorted(group.orbits().sizes())
     if order is not None and group.order() != order:

@@ -77,10 +77,11 @@ def test_orbits():
 
 def test_oracle_chain_pinned():
     """The brute-force oracle's chain for five equidistant words, fixed
-    literally: each sift divides by the kept inverse of the transversal
-    element at the point it reaches, so a stale inverse, or a transversal
-    left unrecomputed, changes the residues that join the chain even when
-    the order stays 120."""
+    literally: each sift divides by the inverse of a path in the level's
+    breadth-first tree, so an orbit left unrebuilt, or walked over the
+    generators in another order, changes the residues that join the chain
+    even when the order stays 120.  Each inverse must be its point's path's
+    in the final tree, not one kept from before a rebuild."""
     group = isometries_brute(distance_matrix(["a", "b", "c", "d", "e"]))
     assert group.order() == 120
     chain = group._chain
@@ -91,10 +92,18 @@ def test_oracle_chain_pinned():
         (0, [[4, 1, 2, 3, 0]]),
     ]
     assert len(group.generators) == 7
+    # each orbit point's parent in its level's tree
+    assert [{p: step[0] for p, step in lvl.schreier.items() if step} for lvl in chain] == [
+        {0: 4, 1: 4, 2: 3, 4: 3}, {0: 4, 1: 2, 4: 2}, {0: 1, 4: 1}, {4: 0}]
     for lvl in chain:
-        for point, u in lvl.transversal.items():
-            assert u(lvl.base) == point
-            assert (u * lvl.inverse_at(point)).is_identity()
+        for point in lvl.schreier.keys() - {lvl.base}:
+            inv = lvl.inverse_at(point)
+            assert inv(point) == lvl.base
+            path, q = Permutation.identity(5), point
+            while q != lvl.base:
+                q, g = lvl.schreier[q]
+                path = g * path
+            assert (path * inv).is_identity()
 
 
 def test_isometries_two_point_space():
@@ -446,15 +455,53 @@ def test_search_refine_calls_pinned(monkeypatch):
     assert counts == [pinned for _, pinned in cases]
 
 
+def test_search_multiplies_no_permutations(monkeypatch):
+    """The search, its order and its orbits read Schreier vectors and
+    multiply out no transversal element.  The oracle multiplies only in its
+    sifts, and no more often than when it kept every transversal product."""
+    counts = {"products": 0, "inverses": 0}
+    mul, inverse = Permutation.__mul__, Permutation.inverse
+
+    def counting_mul(p, q):
+        counts["products"] += 1
+        return mul(p, q)
+
+    def counting_inverse(p):
+        counts["inverses"] += 1
+        return inverse(p)
+
+    theorem6 = _theorem6_matrix(12, Fraction(3, 2))  # built outside the count
+    monkeypatch.setattr(Permutation, "__mul__", counting_mul)
+    monkeypatch.setattr(Permutation, "inverse", counting_inverse)
+    for group in (isometries(theorem6), graph_automorphisms(hypercube(6))):
+        group.order()
+        group.orbits()
+    assert counts == {"products": 0, "inverses": 0}
+    assert isometries_brute(distance_matrix(list("abcdefg"))).order() == 5040
+    assert counts["products"] <= 22228
+
+
+def _swap(n, a, b):
+    images = list(range(n))
+    images[a], images[b] = b, a
+    return Permutation(images)
+
+
 def test_theorem6_closed_form():
     """Layer i of theorem6 is a class of 2i twins, so the group is the
-    product of the symmetric groups S_2i, at every substitution weight."""
+    product of the symmetric groups S_2i, at every substitution weight.
+    Sifting a transposition inside the last layer, and one across the last
+    two, multiplies out inverses from the search's Schreier vectors."""
     thetas = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
     cases = [(layers, theta) for layers in range(1, 9) for theta in thetas]
     for layers, theta in cases + [(12, Fraction(3, 2))]:
         group = isometries(_theorem6_matrix(layers, theta))
         assert group.order() == math.prod(math.factorial(2 * i) for i in range(1, layers + 1))
         assert group.orbits().sizes() == tuple(range(2, 2 * layers + 1, 2))
+        n = layers * (layers + 1)
+        first = n - 2 * layers  # the last layer holds the words first..n-1
+        assert group.contains(_swap(n, first, n - 1))
+        assert layers == 1 or not group.contains(_swap(n, first - 1, first))
 
 
 def test_solver_matches_brute_on_planted_twins():

@@ -175,6 +175,11 @@ def test_theorem6_checker_by_weight():
     bad = check_theorem6(layers=1, theta=2)
     assert not bad.passed
     assert bad.details["group_order"] == "2"  # group is still the full layer swap
+    # entries over the denominator 10: the 22 within-layer pairs are at
+    # min(2θ, 4γ) = 19/5, and every cross-layer pair at its length gap
+    scaled = check_theorem6(layers=3, theta=Fraction(19, 10))
+    assert scaled.witnesses[:2] == ["lev(#0, #1) = 19/5, wanted 2", "lev(#2, #3) = 19/5, wanted 2"]
+    assert scaled.witnesses[-1] == "... and 10 more"
 
 
 def test_layer_sizes_and_lengths_are_checked(monkeypatch):
