@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Union
 
 Rat = Fraction
@@ -25,10 +25,6 @@ ORACLE_MAX_LEN = 7
 # vectors; past it the row DP is faster on all but the longest words
 # (crossover table in CHANGES.md).
 _MAX_BLOCK = 16
-# Longest lane (longest word times block width) for which the matrix packs
-# the whole language into one integer; past it per-pair stripping of shared
-# pads wins (crossover table in CHANGES.md).
-_MAX_LANE = 1024
 
 
 class InputTooLong(ValueError):
@@ -215,44 +211,103 @@ def _lev_scaled(u: str, v: str, g: int, t: int) -> int:
     return e * (g * (len(u) + len(v)) - _lcs_blocks(v, u, 2 * g - t, t))
 
 
-def _packed_lcs(words: list[str], x: int, c: int) -> Iterator[list[int]]:
-    """For words sorted by length, row i is LCS(B(w_i), B(w_j)) of
-    ``_lcs_blocks`` for every j > i, from one walk of w_i.
+def _shared_prefix(a: str, b: str, hi: int) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``, at most ``hi``."""
+    lo, hi = 0, min(hi, len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.startswith(b[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
-    Every word gets a lane of block bits, followed by a guard bit, in one
-    integer, and w_i walks over the lanes of the words after it (Hyyrö,
-    Fredriksson & Navarro 2005).  The kernel's step holds lane by lane:
-    m = v & eq is a subset of v, so v - m never borrows, and a carry out of
-    v + m stops in the lane's guard bit, which the mask clears.  A lane's
-    zero bits count its LCS.
+
+def _pack(
+    words: list[str], alphabet: set[str], x: int, c: int
+) -> tuple[int, int, dict[str, int], list[int]]:
+    """Lay ``words`` (over ``alphabet``) out in one integer, each in a lane
+    of blocks of k = x + c bits (a block per symbol, its x separator bits
+    lowest) under one guard bit.  Returns the masks of every lane bit, of
+    every separator bit and, per symbol, of the content bits of its blocks,
+    and the bit offset of each lane followed by the total width.
+
+    Each symbol's mask of block starts is read from a text with one
+    character per bit, so the pack costs a few passes over its width.
     """
     k = x + c
+    guard = min(set(map(chr, range(len(alphabet) + 1))) - alphabet)
+    # Top bit first: each word's guard bit, then its blocks from its last
+    # symbol down, with the symbol at the block's lowest bit.
+    text = (guard.join(words) + guard)[::-1]
+    for a in alphabet:
+        text = text.replace(a, guard * (k - 1) + a)
+    zeros = dict.fromkeys(map(ord, alphabet | {guard}), "0")
+    starts = {a: int(text.translate(zeros | {ord(a): "1"}), 2) for a in alphabet}
+    every = sum(starts.values())
     content = ((1 << c) - 1) << x
-    symbols: dict[str, int] = {}
-    starts = offset = 0
-    offsets = []
-    for w in words:
-        offsets.append(offset)
-        for a, bits in _match_masks(w, k).items():
-            symbols[a] = symbols.get(a, 0) | bits << offset
-        starts |= ((1 << len(w) * k) - 1) // ((1 << k) - 1) << offset
-        offset += len(w) * k + 1
-    # Lane j read off the binary digits of v: they run from the top bit down.
-    spans = [(offset - o - len(w) * k, offset - o) for o, w in zip(offsets, words)]
-    lanes = starts * ((1 << k) - 1)
-    seps = starts * ((1 << x) - 1)
-    for i, p in enumerate(words[:-1]):
-        shift = offsets[i + 1]
+    symbols = {a: bits * content for a, bits in starts.items()}
+    offsets = list(accumulate((len(w) * k + 1 for w in words), initial=0))
+    return every * ((1 << k) - 1), every * ((1 << x) - 1), symbols, offsets
+
+
+def _packed_lcs(words: list[str], x: int, c: int) -> Iterator[tuple[int, list[int]]]:
+    """For words sorted by length, row i is LCS(B(w_i), B(w_j)) of
+    ``_lcs_blocks`` for every j > i, from one walk of w_i.  It comes as a
+    pair (s, r): the LCS with w_j is s + r[j - i - 1].
+
+    At the first word of each length, the affix is the longest prefix that
+    word shares with all later words, then the longest suffix they share in
+    what is left.  Stripping it from two of those words keeps their ``lev``
+    (the rule of `_lev_scaled`) and takes one whole block, k bits, per
+    stripped symbol off their LCS; s adds them back.  The affix only grows
+    as the first word moves right; when it has grown, the later words are
+    stripped and packed again, and otherwise the walks go on over the
+    current pack.
+
+    Every word of a pack gets a lane of block bits, followed by a guard bit,
+    in one integer, and w_i walks over the lanes of the words after it
+    (Hyyrö, Fredriksson & Navarro 2005).  The kernel's step holds lane by
+    lane: m = v & eq is a subset of v, so v - m never borrows, and a carry
+    out of v + m stops in the lane's guard bit, which the mask clears.  A
+    lane's zero bits count its LCS.
+    """
+    k = x + c
+    alphabet = set().union(*words)
+    # One backward pass: pre and suf are the lengths of the prefix and the
+    # suffix that words[i:] share.
+    last = words[-1] if words else ""
+    tsal = last[::-1]
+    pre = suf = len(last)
+    affixes = {}
+    for i in range(len(words) - 1, -1, -1):
+        w = words[i]
+        pre = _shared_prefix(w, last, pre)
+        suf = _shared_prefix(w[::-1], tsal, suf)
+        if i == 0 or len(words[i - 1]) < len(w):
+            affixes[i] = (pre, min(suf, len(w) - pre))
+    strip = -1
+    for i in range(len(words) - 1):
+        if i in affixes and sum(affixes[i]) > strip:
+            head, tail = affixes[i]
+            strip, first = head + tail, i
+            pack = [w[head:len(w) - tail] for w in words[i:]]
+            lanes, seps, symbols, offsets = _pack(pack, alphabet, x, c)
+            offset = offsets[-1]
+            # Lane j read off the binary digits of v: they run from the top bit down.
+            spans = [(offset - o - len(w) * k, offset - o) for o, w in zip(offsets, pack)]
+        p = pack[i - first]
+        shift = offsets[i + 1 - first]
         mask = lanes >> shift
         sep_steps = (seps >> shift,) * x
-        steps = {a: sep_steps + (symbols[a] * content >> shift,) * c for a in set(p)}
+        steps = {a: sep_steps + (symbols[a] >> shift,) * c for a in set(p)}
         v = mask
         for a in p:
             for eq in steps[a]:
                 m = v & eq
                 v = ((v + m) | (v - m)) & mask
         binary = format(v, f"0{offset - shift}b")
-        yield [binary.count("0", lo, hi) for lo, hi in spans[i + 1:]]
+        yield k * strip, [binary.count("0", lo, hi) for lo, hi in spans[i + 1 - first:]]
 
 
 def lev(u: str, v: str, w: Weights = DEFAULT_WEIGHTS) -> Rat:
@@ -387,11 +442,10 @@ def distance_matrix(words: Iterable[str], w: Weights = DEFAULT_WEIGHTS) -> Dista
     """Pairwise `lev` distances for distinct words, in the given order.
 
     With the weights over their gcd e, the kernel's block width is k = 2g
-    for t < 2g and k = 1 otherwise.  When k <= ``_MAX_BLOCK`` and the longest
-    word spans at most ``_MAX_LANE`` bits (its length times k), the words
-    are packed into one integer and each row is one walk (``_packed_lcs``);
-    otherwise every pair runs `_lev_scaled`, whose affix stripping wins on
-    long words that share long pads.
+    for t < 2g and k = 1 otherwise.  When k <= ``_MAX_BLOCK`` the words,
+    stripped of each length group's shared affix, are packed into integers
+    and each row is one walk (``_packed_lcs``); otherwise every pair runs
+    `_lev_scaled`, whose kernel is then the row DP.
     """
     labels = tuple(words)
     if len(set(labels)) != len(labels):
@@ -402,13 +456,13 @@ def distance_matrix(words: Iterable[str], w: Weights = DEFAULT_WEIGHTS) -> Dista
     e = math.gcd(g, t)
     # lev = g*(|u| + |v|) - unit*LCS, by the identity of `_lcs_blocks`.
     x, c, unit = (0, 1, 2 * g) if t >= 2 * g else ((2 * g - t) // e, t // e, e)
-    if x + c <= _MAX_BLOCK and (x + c) * max(map(len, labels), default=0) <= _MAX_LANE:
+    if x + c <= _MAX_BLOCK:
         order = sorted(range(n), key=lambda i: len(labels[i]))
-        for i, lcs_row in enumerate(_packed_lcs([labels[i] for i in order], x, c)):
+        for i, (shared, lcs_row) in enumerate(_packed_lcs([labels[i] for i in order], x, c)):
             a = order[i]
-            row_a, size = rows[a], len(labels[a])
+            row_a, base = rows[a], g * len(labels[a]) - unit * shared
             for b, lcs in zip(order[i + 1:], lcs_row):
-                row_a[b] = rows[b][a] = g * (size + len(labels[b])) - unit * lcs
+                row_a[b] = rows[b][a] = base + g * len(labels[b]) - unit * lcs
     else:
         for i in range(n):
             u, row_i = labels[i], rows[i]

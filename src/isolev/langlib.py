@@ -23,15 +23,18 @@ class HypothesisViolated(ValueError):
     """The length audit needs substitutions strictly cheaper than two indels."""
 
 
+_SYMBOLS = frozenset(map(chr, range(ord("!"), ord("~") + 1))) - {"#"}
+
+
 def is_valid_symbol(ch: str) -> bool:
     """Printable ASCII, no whitespace, and '#' is reserved for comments."""
-    return len(ch) == 1 and "!" <= ch <= "~" and ch != "#"
+    return ch in _SYMBOLS
 
 
 def _check_word(word: str) -> None:
-    for ch in word:
-        if not is_valid_symbol(ch):
-            raise FormatError(f"invalid symbol {ch!r} in word {word!r}")
+    if not _SYMBOLS.issuperset(word):
+        ch = next(ch for ch in word if ch not in _SYMBOLS)
+        raise FormatError(f"invalid symbol {ch!r} in word {word!r}")
 
 
 class Language:
@@ -53,7 +56,7 @@ class Language:
                 raise DuplicateWords(f"duplicate word {w!r}")
             seen.add(w)
         self.words = ws
-        self.alphabet = frozenset(ch for w in ws for ch in w)
+        self.alphabet = frozenset().union(*ws)
 
     def __len__(self) -> int:
         return len(self.words)

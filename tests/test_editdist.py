@@ -18,7 +18,6 @@ from isolev.editdist import (
     NormalizedWeights,
     Weights,
     _MAX_BLOCK,
-    _MAX_LANE,
     _lcs_blocks,
     _lev_ints_python,
     _lev_scaled,
@@ -28,6 +27,7 @@ from isolev.editdist import (
     lev_oracle,
     normalize,
 )
+from isolev.constructs import catalog_graph, theorem3_language, theorem5_language
 from isolev.langlib import is_subsequence
 
 WEIGHT_GRID = [Weights(1, 1), Weights(1, 2), Weights(2, 1), Weights(1, Fraction(3, 2))]
@@ -160,25 +160,52 @@ def test_every_regime_matches_reference_property(u, v, weights, scale):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from(KERNEL_ALPHABETS), st.sampled_from(KERNEL_WEIGHTS),
-       st.sampled_from([1, 3, 10**20]), st.integers(min_value=-2, max_value=2))
-def test_packed_matrix_matches_per_pair_property(data, alphabet, weights, scale, edge):
-    """Whole matrices equal per-pair `_lev_scaled`, with the longest word's
-    lane (its length times the block width) just below or above _MAX_LANE."""
+       st.sampled_from([1, 3, 10**20]))
+def test_packed_matrix_matches_per_pair_property(data, alphabet, weights, scale):
+    """Whole matrices equal per-pair `_lev_scaled` on words behind shared
+    pads: a group of one word (the pads alone) that strips to empty, a group
+    of words equal up to one symbol, and an affix that grows at the longest
+    group, all packed whenever the block width is at most _MAX_BLOCK."""
     g, t = weights[0] * scale, weights[1] * scale
-    e = math.gcd(g, t)
-    block = 1 if t >= 2 * g else 2 * g // e
-    longest = data.draw(st.text(alphabet=alphabet, min_size=_MAX_LANE // block + edge,
-                                max_size=_MAX_LANE // block + edge))
-    words = data.draw(st.lists(st.text(alphabet=alphabet, max_size=12), max_size=8))
-    words = list(dict.fromkeys(words + ["", longest, longest[: len(longest) // 2]]))
+    block = 1 if t >= 2 * g else 2 * g // math.gcd(g, t)
+    text = lambda lo, hi: st.text(alphabet=alphabet, min_size=lo, max_size=hi)
+    # The head pad is at least 7 symbols, so every padded word is longer than
+    # every bare word, and head + tail is the only padded word of its length.
+    # Up to 300 symbols, it takes lanes past 1024 bits.
+    size = data.draw(st.integers(min_value=7, max_value=300))
+    head, tail = data.draw(text(size, size)), data.draw(text(0, 40))
+    head2, tail2 = data.draw(text(1, 30)), data.draw(text(0, 30))
+    bare = data.draw(st.lists(text(0, 6), max_size=6))
+    middles = data.draw(st.lists(text(1, 5), max_size=6))
+    base = data.draw(text(6, 6))
+    at = data.draw(st.integers(min_value=0, max_value=5))
+    twins = [base[:at] + a + base[at + 1:] for a in alphabet[:4]]
+    words = bare + [head + tail] + [head + w + tail for w in middles]
+    words += [head + head2 + w + tail2 + tail for w in twins]
+    words = list(dict.fromkeys(words))
     data.draw(st.randoms()).shuffle(words)
     with mock.patch.object(editdist, "_packed_lcs", wraps=editdist._packed_lcs) as packed:
         rows = distance_matrix(words, Weights(g, t)).rows
-    lane = block * max(map(len, words))
-    assert packed.called == (block <= _MAX_BLOCK and lane <= _MAX_LANE), (block, lane)
+    assert packed.called == (block <= _MAX_BLOCK), block
     for i, u in enumerate(words):
         for j, v in enumerate(words):
             assert rows[i][j] == (_lev_scaled(u, v, g, t) if i != j else 0), (u, v, g, t)
+
+
+@pytest.mark.parametrize("theta", [1, Fraction(3, 2)])
+@pytest.mark.parametrize("build", [
+    lambda: theorem5_language(catalog_graph("k4"), catalog_graph("k33"), 1),
+    lambda: theorem3_language([catalog_graph("k4"), catalog_graph("petersen")], 2),
+], ids=["theorem5", "theorem3"])
+def test_long_padded_layers_are_packed(build, theta):
+    """Layers of up to 912 symbols behind shared pads make no per-pair call."""
+    words, w = list(build()), Weights(1, theta)
+    with mock.patch.object(editdist, "_lev_scaled", wraps=editdist._lev_scaled) as pair:
+        matrix = distance_matrix(words, w)
+    assert pair.call_count == 0
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            assert matrix.entry(i, j) == lev(u, v, w), (i, j)
 
 
 def test_hamming():

@@ -120,6 +120,14 @@ def test_language_rejects_duplicates_and_bad_symbols():
         Language(["café"])
 
 
+def test_language_symbol_message_and_alphabet():
+    with pytest.raises(FormatError) as err:
+        Language(["ab c#"])
+    assert str(err.value) == "invalid symbol ' ' in word 'ab c#'"
+    assert Language(["ba", "ab"]).alphabet == frozenset("ab")
+    assert Language([]).alphabet == frozenset()
+
+
 def test_language_file_format_round_trip(tmp_path):
     lang = Language(["", "01", "0110"])
     path = tmp_path / "sample.lang"
