@@ -256,58 +256,76 @@ def _packed_lcs(words: list[str], x: int, c: int) -> Iterator[tuple[int, list[in
     ``_lcs_blocks`` for every j > i, from one walk of w_i.  It comes as a
     pair (s, r): the LCS with w_j is s + r[j - i - 1].
 
-    At the first word of each length, the affix is the longest prefix that
-    word shares with all later words, then the longest suffix they share in
-    what is left.  Stripping it from two of those words keeps their ``lev``
-    (the rule of `_lev_scaled`) and takes one whole block, k bits, per
-    stripped symbol off their LCS; s adds them back.  The affix only grows
-    as the first word moves right; when it has grown, the later words are
-    stripped and packed again, and otherwise the walks go on over the
-    current pack.
-
+    Row i's affix is the longest prefix that w_i shares with all later
+    words, then the longest suffix they share in what is left.  It only
+    grows as i moves right, and one backward pass finds it for every i.
     Every word of a pack gets a lane of block bits, followed by a guard bit,
     in one integer, and w_i walks over the lanes of the words after it
     (Hyyrö, Fredriksson & Navarro 2005).  The kernel's step holds lane by
     lane: m = v & eq is a subset of v, so v - m never borrows, and a carry
     out of v + m stops in the lane's guard bit, which the mask clears.  A
     lane's zero bits count its LCS.
+
+    A pack holds words[i:] stripped of row i's affix.  Stripping it from
+    two of those words keeps their ``lev`` (the rule of `_lev_scaled`) and
+    takes one whole block, k bits, per stripped symbol off their LCS.  Where
+    a later row's affix has grown past the pack's, the walk skips it too:
+    after a shared prefix of h symbols the walk's state is the lane mask
+    less the h·k lowest bits of each lane (its row of the LCS table reads
+    min(j, h·k)), and for a shared suffix of t symbols the t·k highest bits
+    of each lane are set after the walk, so that they count no zeros, and
+    t·k is added back.  So each walk takes as many steps as over a pack of
+    its own affix, and the words are packed again only when that would
+    leave them less than half the symbols they have in the current pack;
+    each pack is then under half as wide as the one before, and all repacks
+    together cost less than the first.
     """
-    k = x + c
-    alphabet = set().union(*words)
-    # One backward pass: pre and suf are the lengths of the prefix and the
-    # suffix that words[i:] share.
+    k, n = x + c, len(words)
+    # One backward pass: the prefix and the suffix that words[i:] share,
+    # and the sum of their lengths.
     last = words[-1] if words else ""
     tsal = last[::-1]
     pre = suf = len(last)
-    affixes = {}
-    for i in range(len(words) - 1, -1, -1):
-        w = words[i]
+    size = 0
+    affixes = []
+    for w in reversed(words):
         pre = _shared_prefix(w, last, pre)
         suf = _shared_prefix(w[::-1], tsal, suf)
-        if i == 0 or len(words[i - 1]) < len(w):
-            affixes[i] = (pre, min(suf, len(w) - pre))
-    strip = -1
-    for i in range(len(words) - 1):
-        if i in affixes and sum(affixes[i]) > strip:
-            head, tail = affixes[i]
-            strip, first = head + tail, i
+        size += len(w)
+        affixes.append((pre, suf, size))
+    affixes.reverse()
+    for i in range(n - 1):
+        head, suf, size = affixes[i]
+        tail = min(suf, len(words[i]) - head)
+        if i == 0 or 2 * (size - (n - i) * (head + tail)) < size - (n - i) * strip:
+            start, end, strip, first = head, tail, head + tail, i
             pack = [w[head:len(w) - tail] for w in words[i:]]
-            lanes, seps, symbols, offsets = _pack(pack, alphabet, x, c)
+            lanes, seps, symbols, offsets = _pack(pack, set().union(*pack), x, c)
             offset = offsets[-1]
+            guards = ((1 << offset) - 1) ^ lanes
+            # A lane starts at bit 0 and right above each guard bit.
+            heads = (guards << 1 | 1) & lanes
             # Lane j read off the binary digits of v: they run from the top bit down.
             spans = [(offset - o - len(w) * k, offset - o) for o, w in zip(offsets, pack)]
         p = pack[i - first]
+        h = min(head - start, len(p))
+        t = min(suf - end, len(p) - h)
         shift = offsets[i + 1 - first]
         mask = lanes >> shift
         sep_steps = (seps >> shift,) * x
-        steps = {a: sep_steps + (symbols[a] >> shift,) * c for a in set(p)}
+        rest = p[h:len(p) - t]
+        steps = {a: sep_steps + (symbols[a] >> shift,) * c for a in set(rest)}
         v = mask
-        for a in p:
+        if h:
+            v ^= (heads >> shift) * ((1 << h * k) - 1)
+        for a in rest:
             for eq in steps[a]:
                 m = v & eq
                 v = ((v + m) | (v - m)) & mask
+        if t:
+            v |= (guards >> shift + t * k) * ((1 << t * k) - 1)
         binary = format(v, f"0{offset - shift}b")
-        yield k * strip, [binary.count("0", lo, hi) for lo, hi in spans[i + 1 - first:]]
+        yield k * (strip + t), [binary.count("0", lo, hi) for lo, hi in spans[i + 1 - first:]]
 
 
 def lev(u: str, v: str, w: Weights = DEFAULT_WEIGHTS) -> Rat:
@@ -443,9 +461,9 @@ def distance_matrix(words: Iterable[str], w: Weights = DEFAULT_WEIGHTS) -> Dista
 
     With the weights over their gcd e, the kernel's block width is k = 2g
     for t < 2g and k = 1 otherwise.  When k <= ``_MAX_BLOCK`` the words,
-    stripped of each length group's shared affix, are packed into integers
-    and each row is one walk (``_packed_lcs``); otherwise every pair runs
-    `_lev_scaled`, whose kernel is then the row DP.
+    stripped of the affix they share with the longer words, are packed into
+    integers and each row is one walk (``_packed_lcs``); otherwise every
+    pair runs `_lev_scaled`, whose kernel is then the row DP.
     """
     labels = tuple(words)
     if len(set(labels)) != len(labels):

@@ -23,12 +23,8 @@ class HypothesisViolated(ValueError):
     """The length audit needs substitutions strictly cheaper than two indels."""
 
 
+# Printable ASCII, no whitespace, and '#' is reserved for comments.
 _SYMBOLS = frozenset(map(chr, range(ord("!"), ord("~") + 1))) - {"#"}
-
-
-def is_valid_symbol(ch: str) -> bool:
-    """Printable ASCII, no whitespace, and '#' is reserved for comments."""
-    return ch in _SYMBOLS
 
 
 def _check_word(word: str) -> None:

@@ -192,17 +192,26 @@ def test_packed_matrix_matches_per_pair_property(data, alphabet, weights, scale)
             assert rows[i][j] == (_lev_scaled(u, v, g, t) if i != j else 0), (u, v, g, t)
 
 
-@pytest.mark.parametrize("theta", [1, Fraction(3, 2)])
+@pytest.mark.parametrize("theta", [1, Fraction(3, 2), 2])
 @pytest.mark.parametrize("build", [
     lambda: theorem5_language(catalog_graph("k4"), catalog_graph("k33"), 1),
     lambda: theorem3_language([catalog_graph("k4"), catalog_graph("petersen")], 2),
-], ids=["theorem5", "theorem3"])
+    # One word per length behind an affix that grows at every length.
+    lambda: ["a" * n for n in range(101)],
+    lambda: ["yz"[n % 2] * 6 + "zab" * n for n in range(1, 60)],
+    lambda: ["ab" * n + "c" for n in range(1, 60)],
+], ids=["theorem5", "theorem3", "unary", "growing-suffix", "growing-prefix"])
 def test_long_padded_layers_are_packed(build, theta):
-    """Layers of up to 912 symbols behind shared pads make no per-pair call."""
+    """Layers of up to 912 symbols behind shared pads make no per-pair call.
+    Each pack is under half as wide as the one before it, so an affix that
+    grows at every length is packed few times, and the walks skip the affix
+    grown since their pack.  Every entry equals `lev`."""
     words, w = list(build()), Weights(1, theta)
-    with mock.patch.object(editdist, "_lev_scaled", wraps=editdist._lev_scaled) as pair:
+    with mock.patch.object(editdist, "_lev_scaled", wraps=editdist._lev_scaled) as pair, \
+            mock.patch.object(editdist, "_pack", wraps=editdist._pack) as pack:
         matrix = distance_matrix(words, w)
     assert pair.call_count == 0
+    assert pack.call_count <= math.log2(sum(map(len, words))) + 2, pack.call_count
     for i, u in enumerate(words):
         for j, v in enumerate(words):
             assert matrix.entry(i, j) == lev(u, v, w), (i, j)
