@@ -12,6 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import verify as claims
@@ -252,7 +253,11 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_CLAIM_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and reused by
+    every later ``main``.  Each handler looks its helpers up as module
+    globals when called, so a helper wrapped after the build is still seen."""
     parser = argparse.ArgumentParser(
         prog="isolev",
         description="Exact generalized Levenshtein distances and isometry groups "

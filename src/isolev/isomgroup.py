@@ -266,11 +266,14 @@ def _refine(
     of its first point in ``lab``, and ``size[s]`` is the length of the cell
     at s.  A splitter cell W splits every cell by the sorted row entries
     from each of its points to W; the pieces take the cell's place in sorted
-    key order.  A split cell that was waiting to split others leaves every
-    piece waiting, otherwise all but its first largest piece, whose effect
-    follows from the others (Hopcroft).  Every split is recorded in the
-    returned trace.  Given ``ref``, the trace of the node on the first path
-    at the same level, the refinement stops and returns None at its first
+    key order.  A singleton splitter's keys are its row's entries, read for
+    all of ``lab`` in one pass; a larger splitter's are read per open cell
+    through one ``itemgetter`` of its members.  A split cell that was waiting
+    to split others leaves every piece waiting, otherwise all but its first
+    largest piece, whose effect follows from the others (Hopcroft).  Every
+    split is recorded in the returned trace as (cell, ((key, piece length),
+    ...)).  Given ``ref``, the trace of the node on the first path at the
+    same level, the refinement stops and returns None at its first
     departure from ``ref``.
     """
     n = len(lab)
@@ -289,41 +292,44 @@ def _refine(
         w = queue.popleft()
         queued[w] = False
         if size[w] == 1:
-            key = rows[lab[w]].__getitem__
+            # Every key of the pass at once: a cell's segment of lab is
+            # rewritten only after its keys are read.
+            every = list(map(rows[lab[w]].__getitem__, lab))
         else:
-            members = lab[w : w + size[w]]
-
-            def key(x: int) -> tuple[int, ...]:
-                return tuple(sorted(map(rows[x].__getitem__, members)))
-
+            every = None
+            get = itemgetter(*lab[w : w + size[w]])  # a tuple: the splitter has 2+ members
         still_open = []
         for s in open_cells:
             end = s + size[s]
-            points = lab[s:end]
-            keys = list(map(key, points))
+            if every is None:
+                keys = [tuple(sorted(get(rows[x]))) for x in lab[s:end]]
+            else:
+                keys = every[s:end]
             if keys.count(keys[0]) == len(keys):
                 still_open.append(s)
                 continue
+            points = lab[s:end]
             pieces: dict = {}
             for x, k in zip(points, keys):
                 pieces.setdefault(k, []).append(x)
             order = sorted(pieces)
-            entry = (s, tuple((k, len(pieces[k])) for k in order))
+            lens = [len(pieces[k]) for k in order]
+            entry = (s, tuple(zip(order, lens)))
             if ref is not None and (len(trace) == len(ref) or ref[len(trace)] != entry):
                 return None
             trace.append(entry)
-            largest = None if queued[s] else max(order, key=lambda k: len(pieces[k]))
+            largest = -1 if queued[s] else lens.index(max(lens))
             pos = s
-            for k in order:
-                piece = pieces[k]
-                lab[pos : pos + len(piece)] = piece
-                size[pos] = len(piece)
-                if len(piece) > 1:
+            for i, k in enumerate(order):
+                m = lens[i]
+                lab[pos : pos + m] = pieces[k]
+                size[pos] = m
+                if m > 1:
                     still_open.append(pos)
-                if k != largest and not queued[pos]:
+                if i != largest and not queued[pos]:
                     queued[pos] = True
                     queue.append(pos)
-                pos += len(piece)
+                pos += m
         open_cells = still_open
     if ref is not None and len(trace) != len(ref):
         return None
@@ -511,11 +517,19 @@ def isometries_brute(matrix: DistanceMatrix) -> PermutationGroup:
 
 def graph_automorphisms(graph) -> PermutationGroup:
     """Automorphism group of a simple graph, via the two-coloured matrix
-    (distance 1 on edges, 2 on non-edges)."""
+    (distance 1 on edges, 2 on non-edges), built a row at a time from the
+    edge list."""
     n = graph.n
-    rows = tuple(
-        tuple(0 if a == b else (1 if graph.has_edge(a, b) else 2) for b in range(n))
-        for a in range(n)
-    )
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for a, b in graph.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    rows = []
+    for a, near in enumerate(neighbours):
+        row = [2] * n
+        for b in near:
+            row[b] = 1
+        row[a] = 0
+        rows.append(tuple(row))
     labels = tuple(str(v) for v in range(n))
-    return isometries(DistanceMatrix(labels, rows))
+    return isometries(DistanceMatrix(labels, tuple(rows)))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -52,6 +53,25 @@ def test_usage_errors_exit_two(capsys):
     assert main(["nonsense"]) == 2
     assert main(["dist", "onlyone"]) == 2
     assert main([]) == 2
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    """main reuses one parser: a second call constructs no ArgumentParser,
+    prints the same, and a usage error leaves the parser fit for the next call."""
+    first = run(capsys, "dist", "kitten", "sitting")
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "dist", "kitten", "sitting") == first == (0, "3\n", "")
+    assert run(capsys, "dist", "onlyone")[0] == 2
+    assert run(capsys, "dist", "kitten", "sitting") == first
+    assert built == 0
 
 
 def test_matrix_tsv_and_json(tmp_path, capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isolev.constructs import (
     SimpleGraph,
@@ -19,6 +21,8 @@ from isolev.isomgroup import (
     DegreeTooLarge,
     Permutation,
     PermutationGroup,
+    _individualize,
+    _refine,
     _root_partition,
     graph_automorphisms,
     isometries,
@@ -304,6 +308,34 @@ def test_paley_orders():
         assert graph_automorphisms(paley(p)).order() == p * (p - 1) // 2
 
 
+def _complement(graph):
+    n = graph.n
+    return SimpleGraph.from_edges(
+        n, [(a, b) for a in range(n) for b in range(a + 1, n) if not graph.has_edge(a, b)]
+    )
+
+
+def _graph_aut_inputs():
+    """The benchmark's graph families at its sizes, and four random cubic graphs."""
+    graphs = [generalized_petersen(n, 1) for n in (8, 10, 12, 14, 16)]
+    graphs += [hypercube(d) for d in (4, 5, 6)]
+    graphs += [paley(q) for q in (13, 17, 29, 37, 41)]
+    graphs += [generalized_petersen(n, k) for n, k in ((8, 3), (10, 2), (10, 3), (12, 5), (13, 5))]
+    graphs += [catalog_graph("petersen"), catalog_graph("frucht")]
+    return graphs + [random_cubic(n, seed) for n, seed in ((24, 1), (24, 2), (24, 3), (100, 4))]
+
+
+def test_complement_has_the_same_automorphisms():
+    """Aut(G) = Aut(complement of G): the two matrices swap the entries 1
+    and 2, and each generator maps the edge set onto itself."""
+    for graph in _graph_aut_inputs():
+        group = graph_automorphisms(graph)
+        edges = set(graph.edges)
+        for g in group.generators:
+            assert {(min(g(a), g(b)), max(g(a), g(b))) for a, b in edges} == edges
+        assert same_group(group, graph_automorphisms(_complement(graph)))
+
+
 # Generator lists of the solver, fixed literally: the search is deterministic,
 # so any change to its candidate order or pruning that alters them fails.
 PINNED_AUT_GENERATORS = {
@@ -394,18 +426,82 @@ def _random_matrix(rng, n, values):
     return DistanceMatrix(tuple(map(str, range(n))), tuple(map(tuple, rows)))
 
 
+# Two values a <= b <= 2a always satisfy the triangle inequality, and so do
+# three values 2 <= c <= 4.  Skewed choices leave room for symmetry.
+PALETTES = [(1, 2), (1, 2, 2, 2), (1, 1, 1, 2), (2, 3, 4), (2, 2, 2, 3, 4)]
+
+
 def test_solver_matches_brute_on_random_matrices():
     rng = random.Random(7)
-    # Two values a <= b <= 2a always satisfy the triangle inequality, and so
-    # do three values 2 <= c <= 4.  Skewed choices leave room for symmetry.
-    palettes = [(1, 2), (1, 2, 2, 2), (1, 1, 1, 2), (2, 3, 4), (2, 2, 2, 3, 4)]
     for trial in range(40):
         n = rng.randint(2, 8) if trial % 10 else 9
-        m = _random_matrix(rng, n, rng.choice(palettes))
+        m = _random_matrix(rng, n, rng.choice(PALETTES))
         m.validate()
         a, b = isometries(m), isometries_brute(m)
         assert a.order() == b.order()
         assert same_group(a, b)
+
+
+def _cells(lab, size):
+    s, cells = 0, []
+    while s < len(lab):
+        cells.append(lab[s : s + size[s]])
+        s += size[s]
+    return cells
+
+
+def _assert_equitable(rows, lab, size):
+    cells = _cells(lab, size)
+    for cell in cells:
+        for other in cells:
+            assert len({tuple(sorted(rows[x][y] for y in other)) for x in cell}) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=12), st.sampled_from(PALETTES))
+def test_refine_is_equitable_and_replays_its_trace(data, n, palette):
+    """After the root refinement and after each of 0-3 individualized
+    points, every cell's points have the same sorted entries into every
+    cell, and refining a copy against the trace returns the trace."""
+    rows = _random_matrix(random.Random(data.draw(st.integers(0, 2**32))), n, palette).rows
+    lab, size = _root_partition(rows)
+    _assert_equitable(rows, lab, size)
+    for v in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        s = next(lab.index(c[0]) for c in _cells(lab, size) if v in c)
+        if size[s] == 1:
+            continue
+        lab, size = _individualize(lab, size, s, v)
+        copy = (lab.copy(), size.copy())
+        trace = _refine(rows, lab, size, [s])
+        _assert_equitable(rows, lab, size)
+        assert _refine(rows, *copy, [s], ref=trace) == trace
+        assert copy == (lab, size)
+
+
+def _two_colour_rows(graph):
+    return [[0 if a == b else 1 if graph.has_edge(a, b) else 2 for b in range(graph.n)]
+            for a in range(graph.n)]
+
+
+def test_root_partitions_pinned():
+    """Partitions and piece order, fixed literally."""
+    petersen = _two_colour_rows(catalog_graph("petersen"))
+    lab, size = _root_partition(petersen)
+    assert (lab, size) == (list(range(10)), [10] + [0] * 9)
+    lab, size = _individualize(lab, size, 0, 0)
+    assert _refine(petersen, lab, size, [0]) == [(1, ((1, 3), (2, 6)))]
+    assert (lab, size) == ([0, 1, 4, 5, 2, 3, 6, 7, 8, 9], [1, 3, 0, 0, 6, 0, 0, 0, 0, 0])
+    assert _root_partition(_theorem6_matrix(3, Fraction(3, 2)).rows) == (
+        [6, 7, 8, 9, 10, 11, 2, 3, 4, 5, 0, 1], [6, 0, 0, 0, 0, 0, 4, 0, 0, 0, 2, 0])
+    # Here a cell splits while it still waits to split others, so every
+    # piece must wait.  Leaving its largest piece out ends at the cells
+    # 4 | 0 1 6 | 2 | 3 5, where 0 has two neighbours in its own cell and
+    # 1 and 6 have one.
+    waiting = SimpleGraph.from_edges(7, [(0, 1), (0, 4), (0, 6), (1, 3), (1, 4), (2, 4),
+                                         (4, 6), (5, 6)])
+    rows = _two_colour_rows(waiting)
+    assert _root_partition(rows) == ([4, 1, 6, 0, 2, 3, 5], [1, 2, 0, 1, 1, 2, 0])
+    _assert_equitable(rows, *_root_partition(rows))
 
 
 def _disjoint_union(g, h):
