@@ -8,6 +8,7 @@ Exit codes: 0 success/claim passed, 1 claim failed (witnesses printed),
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import re
 import sys
@@ -189,34 +190,35 @@ _FAMILIES = {
     "prop4": lambda a: prop4_language(_count(a, "max", least=1)),
 }
 
-# claim -> checker(args, gamma, theta) returning a VerificationReport, with
-# the command's own defaults; the checker is looked up in ``claims`` when called.
+# claim -> checker(args, *weights) returning a VerificationReport, with the
+# command's own defaults.  Its parameters after ``args`` name the weights its
+# checker reads, gamma first; `_cmd_verify` takes any other weight only at its
+# default 1.  The checker is looked up in ``claims`` when called.
 _CLAIMS = {
     "metric": lambda a, gamma, theta: claims.check_metric(
         gamma, theta, _count(a, "samples", 1000), _count(a, "max_len", 12), a.seed),
     "bounds": lambda a, gamma, theta: claims.check_bounds(
         gamma, theta, _count(a, "samples", 1000), _count(a, "max_len", 12), a.seed),
-    "homothety": lambda a, gamma, theta: claims.check_homothety(
+    "homothety": lambda a: claims.check_homothety(
         _count(a, "samples", 500), _count(a, "max_len", 12), a.seed),
-    "prop3": lambda a, gamma, theta: claims.check_prop3(
+    "prop3": lambda a: claims.check_prop3(
         _count(a, "random"), _count(a, "max_size", least=1, greatest=claims.PROP3_LENGTHS),
         a.seed),
-    "prop4": lambda a, gamma, theta: claims.check_prop4(_count(a, "max", least=1)),
+    "prop4": lambda a: claims.check_prop4(_count(a, "max", least=1)),
     "theorem1": lambda a, gamma, theta: claims.check_theorem1(
         load_language(_need(a, "lang")), gamma, theta),
-    "lemma3": lambda a, gamma, theta: claims.check_lemma3(
+    "lemma3": lambda a, theta: claims.check_lemma3(
         _count(a, "samples", 200), theta, _count(a, "max_len", 5, least=1), a.seed),
-    "lemma4": lambda a, gamma, theta: claims.check_lemma4(a.graph),
-    "theorem2": lambda a, gamma, theta: claims.check_theorem2(a.graph or "k4", theta),
-    "theorem3": lambda a, gamma, theta: claims.check_theorem3(
+    "lemma4": lambda a: claims.check_lemma4(a.graph),
+    "theorem2": lambda a, theta: claims.check_theorem2(a.graph or "k4", theta),
+    "theorem3": lambda a, theta: claims.check_theorem3(
         *_graphs_and_depth(a, a.graphs or ["k4", "petersen"]), theta),
-    "theorem4": lambda a, gamma, theta: claims.check_theorem4(_k(a), _depth(a), theta),
-    "theorem5": lambda a, gamma, theta: claims.check_theorem5(
+    "theorem4": lambda a, theta: claims.check_theorem4(_k(a), _depth(a), theta),
+    "theorem5": lambda a, theta: claims.check_theorem5(
         *_graph_pair(a, a.graphs or ["k4", "k33"]), _depth(a), theta),
-    "lemma5": lambda a, gamma, theta: claims.check_lemma5(
+    "lemma5": lambda a, theta: claims.check_lemma5(
         load_language(a.lang) if a.lang else None, _depth(a, 2), theta),
-    "theorem6": lambda a, gamma, theta: claims.check_theorem6(
-        _count(a, "layers", least=1), theta),
+    "theorem6": lambda a, theta: claims.check_theorem6(_count(a, "layers", least=1), theta),
 }
 
 
@@ -232,20 +234,14 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
-# weight flag -> the claims that read it; the others take it only at its default 1
-_WEIGHT_READERS = {
-    "gamma": {"metric", "bounds", "theorem1"},
-    "theta": {"metric", "bounds", "theorem1", "lemma3", "theorem2", "theorem3", "theorem4",
-              "theorem5", "lemma5", "theorem6"},
-}
-
-
 def _cmd_verify(args) -> int:
     w = _weights(args)
+    check = _CLAIMS[args.claim]
+    reads = list(inspect.signature(check).parameters)[1:]
     for flag, value in (("gamma", w.gamma), ("theta", w.theta)):
-        if value != 1 and args.claim not in _WEIGHT_READERS[flag]:
+        if value != 1 and flag not in reads:
             raise ValueError(f"verify {args.claim} does not read --{flag}, got {value}")
-    report = _CLAIMS[args.claim](args, w.gamma, w.theta)
+    report = check(args, *(getattr(w, flag) for flag in reads))
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:

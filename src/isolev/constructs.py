@@ -225,7 +225,9 @@ def theorem3_language(graphs: Sequence[SimpleGraph], depth: int) -> Language:
     return Language(words)
 
 
-_LAYER_CAP = {2: 3, 3: 2, 4: 1}
+# Deepest layer per alphabet size k.  Layer n holds k^(k^n) words, so k = 3
+# at depth 2 would give 19 711 words, too many for a distance matrix.
+_LAYER_CAP = {2: 3, 3: 1, 4: 1}
 
 
 def theorem4_language(k: int, depth: int) -> Language:

@@ -180,14 +180,24 @@ def _lcs_blocks(p: str, s: str, x: int, c: int) -> int:
     return n - v.bit_count()
 
 
+def _blocks(g: int, t: int) -> tuple[int, int, int]:
+    """The (x, c, unit) with lev(u, v) = g*(|u| + |v|) - unit*LCS(B(u), B(v))
+    for the blocks B of `_lcs_blocks` at integer weights g (indel) and t
+    (substitution): the plain LCS when t >= 2g, as no optimal script then
+    substitutes, and otherwise that identity on the weights over their gcd."""
+    if t >= 2 * g:
+        return 0, 1, 2 * g
+    e = math.gcd(g, t)
+    return (2 * g - t) // e, t // e, e
+
+
 def _lev_scaled(u: str, v: str, g: int, t: int) -> int:
     """``lev`` on integer weights: indel ``g``, substitution ``t``.
 
     A common prefix or suffix is matched by some optimal script for any
-    positive weights, so it is stripped first.  The weights are divided by
-    their gcd; then t >= 2g is an LCS (no optimal script substitutes), and
-    t < 2g an LCS of words expanded to blocks of 2g symbols, up to
-    ``_MAX_BLOCK``; longer blocks run the row DP.
+    positive weights, so it is stripped first.  Then the LCS of `_blocks`
+    gives ``lev`` when a block has at most ``_MAX_BLOCK`` symbols, and the
+    row DP on (g, t) when it has more.
     """
     lo, hi = 0, min(len(u), len(v))
     while lo < hi and u[lo] == v[lo]:
@@ -202,13 +212,10 @@ def _lev_scaled(u: str, v: str, g: int, t: int) -> int:
     # The kernel loops over the shorter word, in bits of the longer one.
     if len(u) > len(v):
         u, v = v, u
-    e = math.gcd(g, t)
-    g, t = g // e, t // e
-    if t >= 2 * g:
-        return e * g * (len(u) + len(v) - 2 * _lcs_blocks(v, u, 0, 1))
-    if 2 * g > _MAX_BLOCK:
-        return e * _lev_ints_python(u, v, g, t)
-    return e * (g * (len(u) + len(v)) - _lcs_blocks(v, u, 2 * g - t, t))
+    x, c, unit = _blocks(g, t)
+    if x + c > _MAX_BLOCK:
+        return _lev_ints_python(u, v, g, t)
+    return g * (len(u) + len(v)) - unit * _lcs_blocks(v, u, x, c)
 
 
 def _shared_prefix(a: str, b: str, hi: int) -> int:
@@ -315,15 +322,12 @@ def _packed_lcs(words: list[str], x: int, c: int) -> Iterator[tuple[int, list[in
         sep_steps = (seps >> shift,) * x
         rest = p[h:len(p) - t]
         steps = {a: sep_steps + (symbols[a] >> shift,) * c for a in set(rest)}
-        v = mask
-        if h:
-            v ^= (heads >> shift) * ((1 << h * k) - 1)
+        v = mask ^ (heads >> shift) * ((1 << h * k) - 1)
         for a in rest:
             for eq in steps[a]:
                 m = v & eq
                 v = ((v + m) | (v - m)) & mask
-        if t:
-            v |= (guards >> shift + t * k) * ((1 << t * k) - 1)
+        v |= (guards >> shift + t * k) * ((1 << t * k) - 1)
         binary = format(v, f"0{offset - shift}b")
         yield k * (strip + t), [binary.count("0", lo, hi) for lo, hi in spans[i + 1 - first:]]
 
@@ -459,11 +463,10 @@ class DistanceMatrix:
 def distance_matrix(words: Iterable[str], w: Weights = DEFAULT_WEIGHTS) -> DistanceMatrix:
     """Pairwise `lev` distances for distinct words, in the given order.
 
-    With the weights over their gcd e, the kernel's block width is k = 2g
-    for t < 2g and k = 1 otherwise.  When k <= ``_MAX_BLOCK`` the words,
-    stripped of the affix they share with the longer words, are packed into
-    integers and each row is one walk (``_packed_lcs``); otherwise every
-    pair runs `_lev_scaled`, whose kernel is then the row DP.
+    When the block width x + c of `_blocks` is at most ``_MAX_BLOCK`` the
+    words, stripped of the affix they share with the longer words, are
+    packed into integers and each row is one walk (``_packed_lcs``);
+    otherwise every pair runs `_lev_scaled`, whose kernel is then the row DP.
     """
     labels = tuple(words)
     if len(set(labels)) != len(labels):
@@ -471,9 +474,7 @@ def distance_matrix(words: Iterable[str], w: Weights = DEFAULT_WEIGHTS) -> Dista
     g, t, den = w._scaled
     n = len(labels)
     rows = [[0] * n for _ in range(n)]
-    e = math.gcd(g, t)
-    # lev = g*(|u| + |v|) - unit*LCS, by the identity of `_lcs_blocks`.
-    x, c, unit = (0, 1, 2 * g) if t >= 2 * g else ((2 * g - t) // e, t // e, e)
+    x, c, unit = _blocks(g, t)
     if x + c <= _MAX_BLOCK:
         order = sorted(range(n), key=lambda i: len(labels[i]))
         for i, (shared, lcs_row) in enumerate(_packed_lcs([labels[i] for i in order], x, c)):

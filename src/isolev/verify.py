@@ -134,6 +134,8 @@ def _sampled(claim, params, samples, seed, sample, details=None) -> Verification
     """Run ``sample(rng, wit, i)`` for i < ``samples`` on one rng seeded with
     ``seed``, then report; ``seed`` is the last param, and the details default
     to the sample count."""
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     wit = _Witnesses()
     rng = random.Random(seed)
     for i in range(samples):
@@ -233,6 +235,8 @@ def check_homothety(samples=500, max_len=12, seed=DEFAULT_SEED):
 def check_prop3(count=20, max_size=12, seed=DEFAULT_SEED):
     """One-symbol languages have isometry group of order 1 or 2; arithmetic
     progressions of two or more lengths realise exactly 2."""
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     wit = _Witnesses()
     rng = random.Random(seed)
     orders = []

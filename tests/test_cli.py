@@ -575,6 +575,7 @@ def test_verify_exit_codes(tmp_path, capsys):
         (("construct", "prop4", "--max", "0"), "--max must be at least 1, got 0"),
         (("verify", "theorem4", "--k", "5"), "--k must be between 2 and 4, got 5"),
         (("construct", "theorem4", "--k", "1"), "--k must be between 2 and 4, got 1"),
+        (("verify", "theorem4", "--k", "3", "--depth", "2"), "depth 2 too deep for k=3 (cap 1)"),
         # a claim takes a weight flag it does not read only at its default 1,
         # and a non-positive weight is the first error reported
         (("verify", "theorem2", "--gamma", "2", "--theta", "3"),

@@ -165,6 +165,8 @@ def test_theorem4_parameter_caps():
     with pytest.raises(ParametersTooLarge):
         theorem4_language(2, 4)
     with pytest.raises(ParametersTooLarge):
+        theorem4_language(3, 2)
+    with pytest.raises(ParametersTooLarge):
         theorem4_language(3, 3)
     with pytest.raises(ParametersTooLarge):
         theorem4_language(4, 2)

@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import re
 import time
+import types
 from fractions import Fraction
 
 import pytest
 
 from isolev import verify
-from isolev.constructs import catalog_graph
-from isolev.langlib import HypothesisViolated, Language
+from isolev.constructs import SimpleGraph, catalog_graph
+from isolev.langlib import AuditReport, HypothesisViolated, Language
 from isolev.verify import (
     check_bounds,
     check_homothety,
@@ -192,6 +194,106 @@ def test_layer_sizes_and_lengths_are_checked(monkeypatch):
     monkeypatch.setattr(verify, "theorem2_language", lambda graph: Language(words2))
     assert "layer sizes [2, 3, 6], wanted [2, 4, 6]" in check_theorem6(layers=3).witnesses
     assert "layer lengths [97], wanted [96]" in check_theorem2("k4").witnesses
+
+
+def test_negative_sample_counts_are_refused():
+    for check in (lambda: check_metric(samples=-1), lambda: check_bounds(samples=-1),
+                  lambda: check_homothety(samples=-1), lambda: check_lemma3(samples=-1)):
+        with pytest.raises(ValueError, match="samples must be at least 0, got -1"):
+            check()
+    with pytest.raises(ValueError, match="count must be at least 0, got -3"):
+        check_prop3(count=-3)
+
+
+def _flip_first_symbol(encode):
+    """``encode``, with the first symbol of vertex 0's word flipped."""
+    def flipped(graph):
+        words = list(encode(graph))
+        words[0] = "10"[int(words[0][0])] + words[0][1:]
+        return words
+    return flipped
+
+
+_PAIR = r"\('[01]*','[01]*'\)"  # a pair of quoted random binary words
+
+
+# (checker call, name in ``verify``, fault: the real object -> its stand-in,
+# patterns of witnesses the fault must produce)
+@pytest.mark.parametrize("check, name, fault, witnesses", [
+    pytest.param(lambda: check_metric(samples=50), "lev",
+                 lambda lev: lambda u, v, w: lev(u, v, w) + 1,
+                 [r"lev\(('[01]*'),\1\) = 1 != 0"], id="metric-identity"),
+    pytest.param(lambda: check_metric(samples=50), "lev",
+                 lambda lev: lambda u, v, w: 0 * lev(u, v, w),
+                 [rf"lev{_PAIR} = 0 not positive"], id="metric-positivity"),
+    pytest.param(lambda: check_metric(samples=50), "lev",
+                 lambda lev: lambda u, v, w: lev(u, v, w) + (u < v),
+                 [rf"asymmetry on {_PAIR}"], id="metric-symmetry"),
+    pytest.param(lambda: check_metric(samples=50), "lev",
+                 lambda lev: lambda u, v, w: lev(u, v, w) ** 2,
+                 [rf"triangle fails: lev{_PAIR}=\d+ > \d+ \+ \d+"], id="metric-triangle"),
+    # still a metric, but one that counts the context's length
+    pytest.param(lambda: check_metric(samples=50), "lev",
+                 lambda lev: lambda u, v, w: lev(u, v, w) + (len(u) + len(v)) * (u != v),
+                 [r"context invariance fails on \(('[01]*',){3}'[01]*'\)"], id="metric-context"),
+    pytest.param(lambda: check_metric(samples=50), "lev",
+                 lambda lev: lambda u, v, w: lev(u, v, w) + (u[:1] != v[:1]),
+                 [rf"reversal invariance fails on {_PAIR}"], id="metric-reversal"),
+    pytest.param(lambda: check_bounds(samples=50), "lev",
+                 lambda lev: lambda u, v, w: 2 * lev(u, v, w),
+                 [rf"upper bound fails: lev{_PAIR}=\d+ > \d+"], id="bounds-upper"),
+    pytest.param(lambda: check_bounds(samples=50), "lev",
+                 lambda lev: lambda u, v, w: lev(u, v, w) / 2,
+                 [rf"lower bound fails: lev{_PAIR}=[\d/]+ < \d+",
+                  rf"equality characterisation fails on {_PAIR}: "
+                  r"lev=[\d/]+, bound=\d+, subsequence=True"], id="bounds-lower"),
+    pytest.param(lambda: check_homothety(samples=10), "normalize",
+                 lambda normalize: lambda w: dataclasses.replace(normalize(w), scale=1),
+                 [r"lev\('[01]*','[01]*',[\d/]+,[\d/]+\) = [\d/]+ "
+                  r"!= 1 \* lev_\(1,[\d/]+\) = [\d/]+"], id="homothety"),
+    pytest.param(lambda: check_prop3(count=3), "isometries",
+                 lambda isometries: lambda matrix: types.SimpleNamespace(order=lambda: 3),
+                 [r"lengths \[[\d, ]+\] give group order 3",
+                  r"arithmetic progression \[[\d, ]+\] gives order 3, wanted 2"], id="prop3"),
+    pytest.param(lambda: check_prop4(3), "prop4_language",
+                 lambda build: lambda n: Language(list(build(n)) + ["01"]),
+                 [re.escape("lev_2('00','01') = 2, wanted 0"),
+                  "truncation group order 4, wanted 2"], id="prop4"),
+    pytest.param(lambda: check_theorem1(Language(["a", "aaa"])), "theorem1_audit",
+                 lambda audit: lambda lang, group, w: AuditReport(0, False, (("a", "aaa", 2),)),
+                 [re.escape("orbit spread 2 > bound 0: 'a' ~ 'aaa'")], id="theorem1"),
+    pytest.param(lambda: check_lemma4("k4"), "encode_cubic_graph", _flip_first_symbol,
+                 ["k4: bad incidence word for vertex 0",
+                  re.escape("k4: h(w0, w1) = 5, wanted 4")], id="lemma4"),
+    # K4's words, but the automorphisms of one edge on its four vertices
+    pytest.param(lambda: check_theorem2("k4"), "graph_automorphisms",
+                 lambda auts: lambda graph: auts(SimpleGraph.from_edges(graph.n, [(0, 1)])),
+                 ["graph automorphism order 4 != catalog 24",
+                  "isometry group differs from transported automorphism group"], id="theorem2"),
+    pytest.param(lambda: check_theorem3([catalog_graph("k4")]), "growth",
+                 lambda growth: lambda lang, n: 2 + n,
+                 [re.escape("growth(0) = 2 exceeds 1 + 0/24")], id="theorem3-growth"),
+    pytest.param(lambda: check_theorem4(2, 1), "factorial",
+                 lambda factorial: lambda n: factorial(n) + 1,
+                 [re.escape("layer-1 group order 8 matches neither reading "
+                            "(statement 27, proof 27)")], id="theorem4-reading"),
+    pytest.param(lambda: check_theorem4(2, 1), "prod",
+                 lambda prod: lambda orders: prod(orders) + 1,
+                 ["full group order 8, product of layer orders 9"], id="theorem4-product"),
+    # every image moves one place left, which mixes the layers
+    pytest.param(lambda: check_lemma5(depth=1), "Permutation",
+                 lambda perm: lambda images: perm(images[1:] + images[:1]),
+                 [re.escape("layer-0 copy of base generator Permutation[(0 1)] is not an "
+                            "isometry")], id="lemma5-embedding"),
+])
+def test_planted_fault_gives_its_witness(monkeypatch, check, name, fault, witnesses):
+    """Every checker's FAIL branches: a fault planted in one name that
+    ``verify`` calls fails the claim with that fault's witnesses."""
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    report = check()
+    assert not report.passed
+    for pattern in witnesses:
+        assert any(re.fullmatch(pattern, w) for w in report.witnesses), (pattern, report.witnesses)
 
 
 def test_elapsed_covers_the_checkers_work(monkeypatch):
