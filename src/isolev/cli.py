@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import verify as claims
 from .constructs import (
+    _bounded,
     catalog_graph,
     encode_cubic_graph,
     lemma5_language,
@@ -150,10 +151,7 @@ def _count(args, dest: str, default=None, least=0, greatest=None) -> int:
     value = getattr(args, dest)
     if value is None:
         value = default
-    if value < least or greatest is not None and value > greatest:
-        bound = f"at least {least}" if greatest is None else f"between {least} and {greatest}"
-        raise ValueError(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
-    return value
+    return _bounded("--" + dest.replace("_", "-"), value, least, greatest)
 
 
 def _depth(args, default=1) -> int:

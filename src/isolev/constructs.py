@@ -203,26 +203,34 @@ def theorem2_language(graph: SimpleGraph) -> Language:
     return Language(stretch(w, _INCIDENCE_PAD) for w in encode_cubic_graph(graph))
 
 
-def _check_depth(depth: int) -> None:
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
-        raise ValueError(f"depth must be a positive integer, got {depth!r}")
+def _bounded(name: str, value: int, least: int = 0, greatest: int | None = None) -> int:
+    """``value``, an int (not a bool) from ``least`` to ``greatest``;
+    otherwise a ValueError that names it ``name``."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < least
+            or greatest is not None and value > greatest):
+        bound = f"at least {least}" if greatest is None else f"between {least} and {greatest}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return value
+
+
+def _layered(layers: Iterable[Sequence[str]], prefix) -> Language:
+    """The empty word, then each layer's words behind ``prefix(n)``, where n
+    is the length of the previous layer's words (all of one length)."""
+    words = [""]
+    for layer in layers:
+        head = prefix(len(words[-1]))
+        words.extend(head + w for w in layer)
+    return Language(words)
 
 
 def theorem3_language(graphs: Sequence[SimpleGraph], depth: int) -> Language:
     """Layered union: the empty word, then per graph its stretched incidence
     language behind an alternating prefix long enough that any shorter layer
     embeds into the prefix as a subsequence."""
-    _check_depth(depth)
+    _bounded("depth", depth, 1)
     if depth > len(graphs):
         raise DepthExceedsGraphs(f"depth {depth} but only {len(graphs)} graphs")
-    words = [""]
-    prev_len = 0
-    for graph in graphs[:depth]:
-        prefix = "01" * (prev_len + 7)
-        layer = [prefix + w for w in theorem2_language(graph)]
-        words.extend(layer)
-        prev_len = len(layer[0])
-    return Language(words)
+    return _layered(map(theorem2_language, graphs[:depth]), lambda n: "01" * (n + 7))
 
 
 # Deepest layer per alphabet size k.  Layer n holds k^(k^n) words, so k = 3
@@ -234,50 +242,38 @@ def theorem4_language(k: int, depth: int) -> Language:
     """Layered union over a k-letter digit alphabet: layer n holds every word
     of length k^n, stretched so that distances become Hamming distances, behind
     a cyclic prefix covering all shorter layers."""
-    _check_depth(depth)
+    _bounded("depth", depth, 1)
     cap = _LAYER_CAP.get(k)
     if cap is None:
         raise ParametersTooLarge(f"alphabet size must be 2, 3 or 4, got {k}")
     if depth > cap:
         raise ParametersTooLarge(f"depth {depth} too deep for k={k} (cap {cap})")
-    alphabet = [str(d) for d in range(k)]
-    cycle = "".join(alphabet)
-    words = [""]
-    prev_len = 0
+    alphabet = "".join(map(str, range(k)))
+    layers = []
     for level in range(1, depth + 1):
-        tail = alphabet[0] * (k ** (level + 1))
-        pad = tail + alphabet[1] + tail
-        prefix = cycle * prev_len
-        layer = [
-            prefix + stretch("".join(w), pad)
-            for w in product(alphabet, repeat=k**level)
-        ]
-        words.extend(layer)
-        prev_len = len(layer[0])
-    return Language(words)
+        tail = "0" * (k ** (level + 1))
+        pad = tail + "1" + tail
+        layers.append([stretch("".join(w), pad) for w in product(alphabet, repeat=k**level)])
+    return _layered(layers, lambda n: alphabet * n)
 
 
 def theorem5_language(g1: SimpleGraph, g2: SimpleGraph, depth: int) -> Language:
-    """Union of one stretched incidence language with a starred copy of
-    another: the second block repeats with growing alternating tails, giving
-    depth+1 metrically identical layers."""
-    _check_depth(depth)
+    """Union of one stretched incidence language with lemma5's starring of
+    another behind a gate: the second block repeats with growing alternating
+    tails, giving depth+1 metrically identical layers."""
+    _bounded("depth", depth, 1)
     lang1 = theorem2_language(g1)
     lang2 = theorem2_language(g2)
-    n = len(lang1[0])
-    m = len(lang2[0])
+    gate = "01" * (len(lang1[0]) + len(lang2[0]))
     words = list(lang1)
-    gate = "01" * (n + m)
-    for p in range(depth + 1):
-        tail = "01" * (m * p)
-        words.extend(gate + v + tail for v in lang2)
+    words.extend(gate + w for w in lemma5_language(lang2, depth))
     return Language(words)
 
 
 def lemma5_language(lang: Language, depth: int) -> Language:
     """Append alternating tails of 0, n, 2n, ... blocks to every word of a
     uniform-length binary language; each tail length forms one layer."""
-    _check_depth(depth)
+    _bounded("depth", depth, 1)
     if len(lang) == 0:
         raise NonUniformLength("language must be non-empty")
     n = len(lang[0])
@@ -297,7 +293,7 @@ def lemma5_language(lang: Language, depth: int) -> Language:
 def theorem6_language(layers: int) -> Language:
     """All words built from 010-blocks with a single 110-block, of length a
     multiple of 6: layer i has exactly 2i words of length 6i."""
-    _check_depth(layers)
+    _bounded("layers", layers, 1)
     words = []
     for i in range(1, layers + 1):
         blocks = 2 * i - 1
@@ -322,8 +318,7 @@ def prop4_language(n_max: int) -> Language:
     Under gamma=1, theta=2 this realises the integer interval [-n_max, n_max]
     with its line metric.
     """
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    _bounded("n_max", n_max, 1)
     words = [""]
     words.extend("0" * n for n in range(1, n_max + 1))
     words.extend("1" * n for n in range(1, n_max + 1))

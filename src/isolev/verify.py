@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .constructs import (
     SimpleGraph,
+    _bounded,
     catalog,
     catalog_entry,
     encode_cubic_graph,
@@ -134,8 +135,7 @@ def _sampled(claim, params, samples, seed, sample, details=None) -> Verification
     """Run ``sample(rng, wit, i)`` for i < ``samples`` on one rng seeded with
     ``seed``, then report; ``seed`` is the last param, and the details default
     to the sample count."""
-    if samples < 0:
-        raise ValueError(f"samples must be at least 0, got {samples}")
+    _bounded("samples", samples)
     wit = _Witnesses()
     rng = random.Random(seed)
     for i in range(samples):
@@ -173,7 +173,7 @@ def check_metric(gamma=1, theta=1, samples=1000, max_len=12, seed=DEFAULT_SEED):
             wit.add(f"reversal invariance fails on ({u!r},{v!r})")
 
     return _sampled("metric", {"gamma": w.gamma, "theta": w.theta, "samples": samples,
-                               "max_len": max_len}, samples, seed, sample)
+                               "max_len": _bounded("max_len", max_len)}, samples, seed, sample)
 
 
 def check_bounds(gamma=1, theta=1, samples=1000, max_len=12, seed=DEFAULT_SEED):
@@ -200,7 +200,7 @@ def check_bounds(gamma=1, theta=1, samples=1000, max_len=12, seed=DEFAULT_SEED):
             )
 
     return _sampled("bounds", {"gamma": w.gamma, "theta": w.theta, "samples": samples,
-                               "max_len": max_len}, samples, seed, sample)
+                               "max_len": _bounded("max_len", max_len)}, samples, seed, sample)
 
 
 def check_homothety(samples=500, max_len=12, seed=DEFAULT_SEED):
@@ -228,15 +228,15 @@ def check_homothety(samples=500, max_len=12, seed=DEFAULT_SEED):
                 f"{nw.scale} * lev_(1,{nw.theta_prime}) = {rhs}"
             )
 
-    return _sampled("homothety", {"samples": samples, "max_len": max_len}, samples, seed,
-                    sample, details)
+    return _sampled("homothety", {"samples": samples, "max_len": _bounded("max_len", max_len)},
+                    samples, seed, sample, details)
 
 
 def check_prop3(count=20, max_size=12, seed=DEFAULT_SEED):
     """One-symbol languages have isometry group of order 1 or 2; arithmetic
     progressions of two or more lengths realise exactly 2."""
-    if count < 0:
-        raise ValueError(f"count must be at least 0, got {count}")
+    _bounded("count", count)
+    _bounded("max_size", max_size, 1, PROP3_LENGTHS)
     wit = _Witnesses()
     rng = random.Random(seed)
     orders = []
@@ -340,8 +340,8 @@ def check_lemma3(samples=200, theta=1, max_len=5, seed=DEFAULT_SEED):
                 f"stretched distance {got}, hamming {h}"
             )
 
-    return _sampled("lemma3", {"samples": samples, "theta": th.theta, "max_len": max_len},
-                    samples, seed, sample)
+    return _sampled("lemma3", {"samples": samples, "theta": th.theta,
+                               "max_len": _bounded("max_len", max_len, 1)}, samples, seed, sample)
 
 
 def check_lemma4(graph_name: Optional[str] = None):

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from fractions import Fraction
 
@@ -186,6 +187,40 @@ def test_theorem5_shapes_and_distances():
     for i in range(6):
         for j in range(i + 1, 6):
             assert m.entry(i, j) == (4 if g2.has_edge(i, j) else 6)
+
+
+LAYERED_DIGESTS = {
+    ("theorem3", "k4 petersen", 1):
+        "de91c4442b6d438bfbad7735c45e0e6d99dd883eb5356805aad9d3a5d61acf62",
+    ("theorem3", "k4 petersen", 2):
+        "c826380645f43949cc6f1147803f47bff1c85aed932a7c0d61ba5dda0eb42203",
+    ("theorem4", 2, 1): "7c683a9215dd4ceedc4d23c2c4939e918e7562711e502d447a236da60a4dd03b",
+    ("theorem4", 2, 2): "ae3028ca53d219e3406fffc6995bac60ae85482cb1a50b05c466844b364d0366",
+    ("theorem4", 2, 3): "471ce8fda745200f710d453f8941c87bb5723db10f072a2896c6781b2ed0db76",
+    ("theorem4", 3, 1): "be0679fde3b91b8b4b9383d19a5a70d837abbebc20053e935ce6ec01c1ee40bd",
+    ("theorem4", 4, 1): "5c43c8e54c440c68cfe397b7e4206499e97556cc1fdf96c07ad51f49ad024aaf",
+    ("theorem5", "k4 k33", 1): "182c65a733d646219df6e9ab47fa6e1cb183c0eb46b74ce17526378d7c258626",
+    ("theorem5", "k4 k33", 2): "3a17af0a97cd02668928eb70616adf28ebd4c9ce3506162d3751590e40d4accc",
+    ("theorem5", "k4 k33", 3): "101e8fbd3f3c4f4842bf3d52e3628d0c6639b7e2df25b8711744899360806918",
+    ("theorem5", "petersen frucht", 1):
+        "82db1393e606f5f157959688eeb18ece7ea76ca9dd218bf994eea29b3a3b17e8",
+    ("lemma5", "00 11", 3): "dc4f67d29d4ac5900a407db2a61ed64b214d5c446fe04c0c77be9325e527f91e",
+}
+
+
+def test_layered_word_lists_pinned():
+    # sha256 of the words joined by newlines, in construction order
+    for (family, arg, depth), digest in LAYERED_DIGESTS.items():
+        if family == "theorem3":
+            lang = theorem3_language([catalog_graph(n) for n in arg.split()], depth)
+        elif family == "theorem4":
+            lang = theorem4_language(arg, depth)
+        elif family == "theorem5":
+            lang = theorem5_language(*map(catalog_graph, arg.split()), depth)
+        else:
+            lang = lemma5_language(Language(arg.split()), depth)
+        text = "\n".join(lang)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, arg, depth)
 
 
 def test_lemma5_examples_and_errors():

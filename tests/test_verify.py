@@ -203,6 +203,20 @@ def test_negative_sample_counts_are_refused():
             check()
     with pytest.raises(ValueError, match="count must be at least 0, got -3"):
         check_prop3(count=-3)
+    # every other count out of range is refused with a message naming it
+    for check, message in (
+        (lambda: check_metric(max_len=-1), "max_len must be at least 0, got -1"),
+        (lambda: check_bounds(max_len=-1), "max_len must be at least 0, got -1"),
+        (lambda: check_homothety(max_len=-1), "max_len must be at least 0, got -1"),
+        (lambda: check_lemma3(max_len=0), "max_len must be at least 1, got 0"),
+        (lambda: check_prop3(max_size=0), "max_size must be between 1 and 40, got 0"),
+        (lambda: check_prop3(count=2, max_size=41), "max_size must be between 1 and 40, got 41"),
+        (lambda: check_prop3(count=40, max_size=41),
+         "max_size must be between 1 and 40, got 41"),
+        (lambda: check_theorem6(0), "layers must be at least 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check()
 
 
 def _flip_first_symbol(encode):
