@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import re
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -53,24 +51,10 @@ EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
-# P or P/Q with Q nonzero
-_RAT_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
-
-
-def _parse_rat(text: str) -> Fraction:
-    if not _RAT_RE.match(text):
-        raise ValueError(f"malformed rational {text!r}, expected P or P/Q")
-    return Fraction(text)
-
-
 def _parse_word(token: str) -> str:
     word = "" if token == EMPTY_WORD_TOKEN else token
     _check_word(word)
     return word
-
-
-def _weights(args) -> Weights:
-    return Weights(_parse_rat(args.gamma), _parse_rat(args.theta))
 
 
 def _resolve_graph(token: str):
@@ -98,13 +82,13 @@ def _group_json(group) -> dict:
 def _cmd_dist(args) -> int:
     u = _parse_word(args.word1)
     v = _parse_word(args.word2)
-    print(lev(u, v, _weights(args)))
+    print(lev(u, v, Weights(args.gamma, args.theta)))
     return EXIT_OK
 
 
 def _cmd_matrix(args) -> int:
     lang = load_language(args.lang)
-    matrix = distance_matrix(lang, _weights(args))
+    matrix = distance_matrix(lang, Weights(args.gamma, args.theta))
     if args.format == "json":
         payload = {
             "words": list(lang),
@@ -121,7 +105,7 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_isom(args) -> int:
     lang = load_language(args.lang)
-    matrix = distance_matrix(lang, _weights(args))
+    matrix = distance_matrix(lang, Weights(args.gamma, args.theta))
     if args.brute:
         group = isometries_brute(matrix)
     else:
@@ -132,7 +116,7 @@ def _cmd_isom(args) -> int:
 
 def _cmd_growth(args) -> int:
     lang = load_language(args.lang)
-    print(growth(lang, args.n))
+    print(growth(lang, _count(args, "n")))
     return EXIT_OK
 
 
@@ -233,7 +217,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    w = _weights(args)
+    w = Weights(args.gamma, args.theta)
     check = _CLAIMS[args.claim]
     reads = list(inspect.signature(check).parameters)[1:]
     for flag, value in (("gamma", w.gamma), ("theta", w.theta)):

@@ -10,6 +10,7 @@ values become Fractions only when they are read.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +21,9 @@ Rat = Fraction
 RatLike = Union[Rat, int, str]
 
 ORACLE_MAX_LEN = 7
+
+# P or P/Q with Q nonzero
+_RAT_RE = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?")
 
 # Longest block 2g (indel cost over the weights' gcd) run on expanded bit
 # vectors; past it the row DP is faster on all but the longest words
@@ -40,9 +44,12 @@ class DuplicateWords(ValueError):
 
 
 def as_rat(value: RatLike) -> Rat:
-    """Coerce ints, ``p/q`` strings and Fractions to an exact rational."""
+    """Coerce ints, Fractions and ``P`` or ``P/Q`` strings (Q nonzero) to an
+    exact rational."""
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact computations")
+    if isinstance(value, str) and not _RAT_RE.fullmatch(value):
+        raise ValueError(f"malformed rational {value!r}, expected P or P/Q")
     return Fraction(value)
 
 

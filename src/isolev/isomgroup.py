@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .editdist import DistanceMatrix
 
@@ -253,6 +253,15 @@ def same_group(g: PermutationGroup, h: PermutationGroup) -> bool:
     )
 
 
+def _open_cells(size: list[int]) -> Iterator[int]:
+    """The start of each cell of two or more points, in order."""
+    s = 0
+    while s < len(size):
+        if size[s] > 1:
+            yield s
+        s += size[s]
+
+
 def _refine(
     rows: Sequence[Sequence[int]],
     lab: list[int],
@@ -281,12 +290,7 @@ def _refine(
     queued = [False] * n
     for s in splitters:
         queued[s] = True
-    open_cells = []
-    s = 0
-    while s < n:
-        if size[s] > 1:
-            open_cells.append(s)
-        s += size[s]
+    open_cells = list(_open_cells(size))
     trace: list = []
     while queue and open_cells:
         w = queue.popleft()
@@ -359,15 +363,6 @@ def _individualize(
     return lab, size
 
 
-def _first_open_cell(lab: list[int], size: list[int]) -> Optional[int]:
-    s = 0
-    while s < len(lab):
-        if size[s] > 1:
-            return s
-        s += size[s]
-    return None
-
-
 def _twin_swap(rows: Sequence[Sequence[int]], a: int, b: int) -> Optional[Permutation]:
     """The transposition (a b), for a < b, when a and b are twins of the
     symmetric matrix: their rows agree at every position but a and b.  The
@@ -420,7 +415,7 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
     # holds the base point bases[i]; traces[i] is the refinement that follows.
     lab, size = _root_partition(rows)
     path, cells, bases, traces = [], [], [], []
-    s = _first_open_cell(lab, size)
+    s = next(_open_cells(size), None)
     while s is not None:
         v = min(lab[s : s + size[s]])
         path.append((lab, size))
@@ -428,7 +423,7 @@ def isometries(matrix: DistanceMatrix) -> PermutationGroup:
         bases.append(v)
         lab, size = _individualize(lab, size, s, v)
         traces.append(refine(lab, size, s))
-        s = _first_open_cell(lab, size)
+        s = next(_open_cells(size), None)
     first_leaf = lab
     depth = len(bases)
 

@@ -45,14 +45,17 @@ class Language:
 
     def __init__(self, words: Iterable[str]):
         ws = tuple(words)
-        seen = set()
-        for w in ws:
-            _check_word(w)
-            if w in seen:
-                raise DuplicateWords(f"duplicate word {w!r}")
-            seen.add(w)
+        alphabet = frozenset().union(*ws)
+        if not _SYMBOLS.issuperset(alphabet) or len(set(ws)) != len(ws):
+            # Name the first fault in word order.
+            seen = set()
+            for w in ws:
+                _check_word(w)
+                if w in seen:
+                    raise DuplicateWords(f"duplicate word {w!r}")
+                seen.add(w)
         self.words = ws
-        self.alphabet = frozenset().union(*ws)
+        self.alphabet = alphabet
 
     def __len__(self) -> int:
         return len(self.words)

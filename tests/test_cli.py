@@ -536,6 +536,9 @@ def test_growth_command(tmp_path, capsys):
     code, out, _ = run(capsys, "growth", "--lang", str(eps_file), "--n", "0")
     assert code == 0 and out.strip() == "1"
 
+    code, out, err = run(capsys, "growth", "--lang", str(eps_file), "--n", "-1")
+    assert code == 2 and out == "" and err == "error: --n must be at least 0, got -1\n"
+
 
 def test_verify_exit_codes(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "theorem6", "--layers", "2", "--theta", "1")

@@ -238,6 +238,10 @@ def test_weights_must_be_positive():
         Weights(1, -2)
     with pytest.raises(TypeError):
         Weights(1.5, 1)
+    for gamma, theta in (("1/0", 1), (1, "0.5"), ("1e-1", 1), (" 3/2", 1), ("1\n", 1)):
+        with pytest.raises(ValueError, match="malformed rational"):
+            Weights(gamma, theta)
+    assert Weights("3/2", "2/2") == Weights(Fraction(3, 2), 1)
 
 
 def test_homothety_random_pairs():

@@ -118,6 +118,10 @@ def test_language_rejects_duplicates_and_bad_symbols():
         Language(["a#b"])
     with pytest.raises(FormatError):
         Language(["café"])
+    with pytest.raises(DuplicateWords, match="duplicate word 'ab'"):
+        Language(["ab", "ab", "a b"])
+    with pytest.raises(FormatError, match="invalid symbol ' ' in word 'a b'"):
+        Language(["a b", "ab", "ab"])
 
 
 def test_language_symbol_message_and_alphabet():
