@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import verify as claims
 from .constructs import (
+    _LAYER_CAP,
     _bounded,
     catalog_graph,
     encode_cubic_graph,
@@ -148,8 +149,8 @@ def _graphs_and_depth(args, names):
 
 
 def _k(args) -> int:
-    """The alphabet size of theorem4, which builds alphabets of 2 to 4 letters."""
-    return _count(args, "k", least=2, greatest=4)
+    """The alphabet size of theorem4, one that ``_LAYER_CAP`` caps."""
+    return _count(args, "k", least=min(_LAYER_CAP), greatest=max(_LAYER_CAP))
 
 
 def _graph_pair(args, names):
@@ -168,7 +169,7 @@ _FAMILIES = {
     "theorem5": lambda a: theorem5_language(*_graph_pair(a, _need(a, "graphs")), _depth(a)),
     "lemma5": lambda a: lemma5_language(load_language(_need(a, "lang")), _depth(a)),
     "theorem6": lambda a: theorem6_language(_count(a, "layers", least=1)),
-    "unary": lambda a: unary_language(_need(a, "lengths")),
+    "unary": lambda a: unary_language([_bounded("--lengths", n) for n in _need(a, "lengths")]),
     "prop4": lambda a: prop4_language(_count(a, "max", least=1)),
 }
 

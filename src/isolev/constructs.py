@@ -233,8 +233,8 @@ def theorem3_language(graphs: Sequence[SimpleGraph], depth: int) -> Language:
     return _layered(map(theorem2_language, graphs[:depth]), lambda n: "01" * (n + 7))
 
 
-# Deepest layer per alphabet size k.  Layer n holds k^(k^n) words, so k = 3
-# at depth 2 would give 19 711 words, too many for a distance matrix.
+# Deepest layer per alphabet size k that theorem4 builds.  Layer n holds
+# k^(k^n) words: 19 711 for k = 3 at depth 2, too many for a distance matrix.
 _LAYER_CAP = {2: 3, 3: 1, 4: 1}
 
 
@@ -245,7 +245,7 @@ def theorem4_language(k: int, depth: int) -> Language:
     _bounded("depth", depth, 1)
     cap = _LAYER_CAP.get(k)
     if cap is None:
-        raise ParametersTooLarge(f"alphabet size must be 2, 3 or 4, got {k}")
+        raise ParametersTooLarge(f"alphabet size must be one of {sorted(_LAYER_CAP)}, got {k}")
     if depth > cap:
         raise ParametersTooLarge(f"depth {depth} too deep for k={k} (cap {cap})")
     alphabet = "".join(map(str, range(k)))
@@ -304,11 +304,9 @@ def theorem6_language(layers: int) -> Language:
 
 def unary_language(lengths: Iterable[int]) -> Language:
     """Words a^n for the given distinct lengths, in ascending order."""
-    ls = list(lengths)
+    ls = [_bounded("lengths", n) for n in lengths]
     if len(set(ls)) != len(ls):
         raise ValueError("lengths must be distinct")
-    if any(n < 0 for n in ls):
-        raise ValueError("lengths must be non-negative")
     return Language("a" * n for n in sorted(ls))
 
 

@@ -13,7 +13,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Union
 
@@ -348,7 +347,6 @@ def lev(u: str, v: str, w: Weights = DEFAULT_WEIGHTS) -> Rat:
     return Rat(_lev_scaled(u, v, g, t), den)
 
 
-@lru_cache(maxsize=65536)
 def _fewest_mismatches(u: str, v: str) -> tuple[int, ...]:
     """For each alignment size k, the fewest mismatched pairs over all
     monotone k-alignments, found by exhaustive enumeration."""

@@ -158,6 +158,15 @@ class AuditReport:
     witnesses: tuple[tuple[str, str, int], ...]
 
 
+def _require_hypothesis(w: Weights):
+    """``normalize(w)``, refused when substitution costs two indels or more."""
+    normed = normalize(w)
+    if normed.theta_prime >= 2:
+        raise HypothesisViolated(
+            "substitution weight must stay strictly below twice the indel weight")
+    return normed
+
+
 def theorem1_audit(
     lang: Language, group: "PermutationGroup", w: Weights = DEFAULT_WEIGHTS
 ) -> AuditReport:
@@ -168,10 +177,7 @@ def theorem1_audit(
     group).  Refuses weight settings where substitution costs two indels or
     more, the regime in which no such bound exists.
     """
-    if normalize(w).theta_prime >= 2:
-        raise HypothesisViolated(
-            "substitution weight must stay strictly below twice the indel weight"
-        )
+    _require_hypothesis(w)
     if group.degree != len(lang):
         raise ValueError(
             f"group degree {group.degree} does not match language size {len(lang)}"

@@ -576,6 +576,7 @@ def test_verify_exit_codes(tmp_path, capsys):
          "--depth must be at least 1, got 0"),
         (("verify", "prop4", "--max", "0"), "--max must be at least 1, got 0"),
         (("construct", "prop4", "--max", "0"), "--max must be at least 1, got 0"),
+        (("construct", "unary", "--lengths", "1", "-1"), "--lengths must be at least 0, got -1"),
         (("verify", "theorem4", "--k", "5"), "--k must be between 2 and 4, got 5"),
         (("construct", "theorem4", "--k", "1"), "--k must be between 2 and 4, got 1"),
         (("verify", "theorem4", "--k", "3", "--depth", "2"), "depth 2 too deep for k=3 (cap 1)"),
@@ -667,6 +668,14 @@ def test_verify_remaining_claims_dispatch(capsys):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert any("ratio 2" in w for w in payload["witnesses"])
+
+
+def test_k_follows_the_layer_caps(capsys, monkeypatch):
+    from isolev import constructs
+
+    monkeypatch.delitem(constructs._LAYER_CAP, 4)
+    assert run(capsys, "verify", "theorem4", "--k", "4") == (
+        2, "", "error: --k must be between 2 and 3, got 4\n")
 
 
 def test_construct_theorem3_theorem4_theorem5(tmp_path, capsys):

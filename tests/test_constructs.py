@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from isolev import constructs
 from isolev.constructs import (
     DepthExceedsGraphs,
     GraphFormatError,
@@ -160,6 +161,14 @@ def test_theorem4_layer_shapes():
     assert sorted(set(t22.lengths())) == [0, 20, 112]
 
 
+def test_theorem4_alphabet_sizes_follow_the_layer_caps(monkeypatch):
+    with pytest.raises(ParametersTooLarge, match=r"must be one of \[2, 3, 4\], got 5"):
+        theorem4_language(5, 1)
+    monkeypatch.delitem(constructs._LAYER_CAP, 4)
+    with pytest.raises(ParametersTooLarge, match=r"must be one of \[2, 3\], got 4"):
+        theorem4_language(4, 1)
+
+
 def test_theorem4_parameter_caps():
     with pytest.raises(ParametersTooLarge):
         theorem4_language(5, 1)
@@ -299,6 +308,14 @@ def test_unary_language():
         unary_language([1, 1])
     with pytest.raises(ValueError):
         unary_language([-1])
+
+
+def test_unary_language_bounds_each_length():
+    for lengths in ([-1], [True, 2], [1.5]):
+        with pytest.raises(ValueError, match="lengths must be at least 0"):
+            unary_language(lengths)
+    with pytest.raises(ValueError, match="lengths must be distinct"):
+        unary_language([2, 2])
 
 
 def test_prop4_language():

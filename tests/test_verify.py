@@ -74,6 +74,24 @@ def test_theorem1_checker():
         check_theorem1(Language(["0", "1"]), theta=2)
 
 
+def test_theorem1_checker_refuses_before_building_the_matrix(monkeypatch):
+    from isolev.editdist import Weights, distance_matrix
+    from isolev.isomgroup import isometries
+    from isolev.langlib import theorem1_audit
+
+    lang = Language(["0", "1"])
+    with pytest.raises(HypothesisViolated) as audit:
+        theorem1_audit(lang, isometries(distance_matrix(lang)), Weights(1, 2))
+
+    def unreachable(*args):
+        raise AssertionError("distance_matrix called")
+
+    monkeypatch.setattr(verify, "distance_matrix", unreachable)
+    with pytest.raises(HypothesisViolated) as checker:
+        check_theorem1(lang, theta=2)
+    assert str(checker.value) == str(audit.value)
+
+
 def test_lemma3_checker_is_weight_sensitive():
     assert check_lemma3(samples=60, theta=1).passed
     off = check_lemma3(samples=60, theta=Fraction(1, 2))
@@ -85,6 +103,13 @@ def test_lemma4_checker_all_catalog():
     report = check_lemma4()
     assert report.passed
     assert set(report.params["graphs"]) == {"k4", "k33", "petersen", "frucht"}
+
+
+def test_lemma4_checker_reads_the_adjacency_rule(monkeypatch):
+    monkeypatch.setattr(verify, "_adjacency", lambda graph: lambda i, j: 5)
+    report = check_lemma4("k4")
+    assert not report.passed
+    assert "h(w0, w1) = 4, wanted 5" in report.witnesses[0]
 
 
 def test_theorem2_checker():
